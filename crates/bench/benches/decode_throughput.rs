@@ -67,7 +67,7 @@ fn bench_decoders(cr: &mut Criterion) {
 
 /// Frame-level decode: the serial per-subcarrier receive path vs
 /// `decode_frame_batched` (per-subcarrier QR amortized across the frame's
-/// OFDM symbols, fanned out over a worker pool). One 64-subcarrier
+/// OFDM symbols, fanned out over a worker pool built per call). One 64-subcarrier
 /// 4×4 64-QAM frame per iteration; outputs are bit-identical, so any gap
 /// is pure engine overhead/speedup.
 fn bench_frame_decode(cr: &mut Criterion) {
@@ -89,20 +89,17 @@ fn bench_frame_decode(cr: &mut Criterion) {
             uplink_frame(&cfg, &ch, &det, snr_db, &mut rng).stats.ped_calcs
         })
     });
+    // The pool runs exactly `workers` threads, oversubscribing small
+    // machines; label with the hardware parallelism so series past it
+    // aren't mistaken for real scaling points.
+    let hw = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
     for workers in [1usize, 2, 4, 8] {
-        // The pool clamps to the hardware; label with the effective count
-        // so series aren't mistaken for distinct configurations on small
-        // machines.
-        let effective = geosphere_core::BatchDetector::new(&det, workers).workers();
-        group.bench_function(
-            BenchmarkId::new("batched", format!("{workers}w_eff{effective}")),
-            |b| {
-                b.iter(|| {
-                    let mut rng = StdRng::seed_from_u64(77);
-                    decode_frame_batched(&cfg, &ch, &det, snr_db, &mut rng, workers).stats.ped_calcs
-                })
-            },
-        );
+        group.bench_function(BenchmarkId::new("batched", format!("{workers}w_hw{hw}")), |b| {
+            b.iter(|| {
+                let mut rng = StdRng::seed_from_u64(77);
+                decode_frame_batched(&cfg, &ch, &det, snr_db, &mut rng, workers).stats.ped_calcs
+            })
+        });
     }
     // The steady-state receive loop: one FrameWorkspace held across frames
     // (decode_frame_batched_into), so planning, detection, and the receive

@@ -58,7 +58,7 @@ impl Cdf {
                 *s = SENTINEL;
             }
         }
-        samples.sort_by(|a, b| a.partial_cmp(b).unwrap());
+        samples.sort_by(|a, b| a.total_cmp(b));
         Cdf { sorted: samples }
     }
 
@@ -112,6 +112,12 @@ impl Cdf {
 mod tests {
     use super::*;
     use gs_linalg::Complex;
+
+    #[test]
+    fn nan_samples_build_a_cdf_without_panicking() {
+        let cdf = Cdf::new(vec![2.0, f64::NAN, -1.0, f64::INFINITY]);
+        assert_eq!(cdf.len(), 4);
+    }
 
     #[test]
     fn identity_channel_has_no_degradation() {

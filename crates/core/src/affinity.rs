@@ -1,13 +1,14 @@
 //! Worker-thread CPU affinity.
 //!
-//! The [`DetectionPool`](crate::DetectionPool) threads are long-lived —
-//! spawned once and reused across every frame a receiver decodes — so
-//! pinning each worker to one core is a cheap, stable win: the worker's
-//! search workspace (enumerator slabs, QR factors, recycled output
-//! buffers) stays in one core's cache instead of migrating with the
-//! scheduler. Workers are pinned round-robin (`worker i → core i mod
-//! n_cores`); set `GS_NO_PIN` (or `GS_NO_PIN=1`) to opt out, e.g. when
-//! sharing a box with other pinned workloads.
+//! The [`ShardedDetectionPool`](crate::ShardedDetectionPool) threads are
+//! long-lived — spawned once and reused across every frame a receiver
+//! decodes — so pinning each worker to one core is a cheap, stable win:
+//! the worker's search workspace (enumerator slabs, QR factors, recycled
+//! output buffers) stays in one core's cache instead of migrating with the
+//! scheduler. Workers are pinned round-robin over their shard's CPUs
+//! (`worker i → core i mod n_cores` on a single-domain machine); set
+//! `GS_NO_PIN` (or `GS_NO_PIN=1`) to opt out, e.g. when sharing a box with
+//! other pinned workloads.
 //!
 //! This module also discovers the machine's **memory domains**
 //! ([`memory_domains`]): the NUMA topology read from sysfs, a flat

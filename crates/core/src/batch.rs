@@ -1,4 +1,4 @@
-//! Batched parallel MIMO detection — the workspace's scaling layer.
+//! Batched MIMO detection — the workspace's scaling layer.
 //!
 //! An OFDM frame is an embarrassingly parallel batch of per-subcarrier
 //! sphere searches (paper §4: one independent detection per OFDM symbol ×
@@ -10,24 +10,26 @@
 //!   jobs that reference channels by index, so per-channel preprocessing
 //!   (QR factorization) is computed once per *channel*, not once per
 //!   *detection* — [`SphereDecoder`](crate::SphereDecoder) overrides
-//!   [`MimoDetector::detect_batch`] to do exactly that.
-//! * [`BatchDetector`] fans a batch out across a scoped worker pool.
-//!   Results are returned in job order and are bit-identical to detecting
-//!   each job serially, for any worker count: detection consumes no shared
-//!   mutable state and QR factorization is deterministic.
+//!   [`MimoDetector::detect_batch_with`] to do exactly that.
+//! * [`channel_grouped_chunks`] splits a batch into contiguous,
+//!   channel-grouped index chunks — the dispatch order every multi-worker
+//!   caller hands to [`ShardedDetectionPool`](crate::ShardedDetectionPool)
+//!   workers, each detecting its chunk through
+//!   [`MimoDetector::detect_batch_indexed_with`]. Results are bit-identical
+//!   to detecting each job serially, for any chunk count: detection
+//!   consumes no shared mutable state and QR factorization is
+//!   deterministic.
 //!
-//! Workspace ownership: each worker's `detect_batch`/`detect_batch_indexed`
-//! call owns one [`SearchWorkspace`](crate::sphere::SearchWorkspace) for
-//! its whole job chunk (created on the worker thread, inside the sphere
-//! decoder's override), so per-node enumerators, per-level search state,
-//! and per-channel QR factors are reused across every job the worker
-//! processes — zero heap allocations per symbol after warmup.
+//! Workspace ownership: every chunk is detected through a long-lived
+//! [`DetectorWorkspace`](crate::DetectorWorkspace) (a pool worker's own,
+//! or one owned by the chunk itself), so per-node enumerators, per-level
+//! search state, and per-channel QR factors are reused across every job —
+//! zero heap allocations per symbol after warmup.
 
-use crate::detector::{Detection, DetectorWorkspace, MimoDetector};
+use crate::detector::{Detection, MimoDetector};
 use gs_linalg::{Complex, Matrix};
 use gs_modulation::Constellation;
-use std::sync::{Arc, Condvar, Mutex, RwLock};
-use std::thread::JoinHandle;
+use std::ops::Range;
 
 /// One detection problem inside a batch: an index into the batch's shared
 /// channel table plus the received vector.
@@ -67,423 +69,48 @@ impl DetectionBatch<'_> {
     }
 }
 
-/// Fans batches of detections out across a scoped `std::thread` worker
-/// pool, preserving job order.
+/// Resolves a requested detection worker count: `0` selects the
+/// machine's available parallelism, any other count is used as given —
+/// never clamped, so an explicit count may oversubscribe a small machine
+/// (correctness and the zero-allocation contract hold at any count).
+pub fn resolve_workers(workers: usize) -> usize {
+    if workers == 0 {
+        std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
+    } else {
+        workers
+    }
+}
+
+/// Writes the channel-grouped dispatch order of `jobs` into `order` and
+/// returns its split into `parts` contiguous chunks, in chunk order (the
+/// trailing chunks are empty when `parts` exceeds the job count).
 ///
-/// Each worker receives a contiguous chunk of jobs (with the shared
-/// channel table), so detectors that amortize per-channel preprocessing
-/// keep that benefit within each chunk. Workers borrow the detector
-/// immutably — [`MimoDetector`] requires `Send + Sync`, and no detector in
-/// this crate has interior mutability — so no cloning or locking happens
-/// on the hot path.
-#[derive(Clone, Copy, Debug)]
-pub struct BatchDetector<'a, D: MimoDetector + ?Sized> {
-    detector: &'a D,
-    workers: usize,
-}
-
-impl<'a, D: MimoDetector + ?Sized> BatchDetector<'a, D> {
-    /// Wraps `detector` with a pool of `workers` threads; `workers == 0`
-    /// selects the machine's available parallelism.
-    ///
-    /// The pool never oversubscribes: detection is pure CPU work, so
-    /// running more threads than hardware threads only adds context-switch
-    /// and cache-thrash cost. The effective count is
-    /// `min(workers, available_parallelism)` — [`Self::workers`] reports
-    /// the resolved value.
-    pub fn new(detector: &'a D, workers: usize) -> Self {
-        let hw = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-        let workers = if workers == 0 { hw } else { workers.min(hw) };
-        BatchDetector { detector, workers }
-    }
-
-    /// The resolved worker count.
-    pub fn workers(&self) -> usize {
-        self.workers
-    }
-
-    /// The wrapped detector.
-    pub fn detector(&self) -> &'a D {
-        self.detector
-    }
-
-    /// Detects every job in `batch`, in parallel across the pool, returning
-    /// results in job order.
-    ///
-    /// Jobs are grouped by channel index before being split into per-worker
-    /// chunks, so detectors that amortize per-channel preprocessing keep
-    /// (almost) one factorization per channel at any worker count — at most
-    /// `workers − 1` channel groups straddle a chunk boundary. An OFDM
-    /// frame's jobs arrive symbol-major (the channel cycles every
-    /// subcarrier), so without the grouping every chunk would touch every
-    /// channel and re-factorize it. The grouping is an index permutation
-    /// dispatched through [`MimoDetector::detect_batch_indexed`] — jobs are
-    /// never cloned or rearranged in memory.
-    ///
-    /// Output is bit-identical to `self.detector().detect_batch(batch)` run
-    /// serially: the grouping permutation is deterministic (stable sort by
-    /// channel), it is inverted on the way out, and detection is a pure
-    /// function of (channel, y, constellation).
-    pub fn detect_batch(&self, batch: &DetectionBatch) -> Vec<Detection> {
-        let n = batch.jobs.len();
-        let workers = self.workers.min(n.max(1));
-        if workers <= 1 || n <= 1 {
-            return self.detector.detect_batch(batch);
-        }
-
-        // Group jobs by channel (stable: ties keep submission order), so
-        // each worker's contiguous chunk spans whole channel groups. When
-        // jobs already arrive grouped — notably the flat-channel case with
-        // a single table entry, the dominant experiment path — skip the
-        // permutation entirely.
-        let already_grouped = batch.jobs.windows(2).all(|w| w[0].channel <= w[1].channel);
-        let chunk_len = n.div_ceil(workers);
-
-        if already_grouped {
-            let mut out: Vec<Option<Detection>> = vec![None; n];
-            std::thread::scope(|scope| {
-                for (jobs, slots) in batch.jobs.chunks(chunk_len).zip(out.chunks_mut(chunk_len)) {
-                    let sub = DetectionBatch { channels: batch.channels, jobs, c: batch.c };
-                    let detector = self.detector;
-                    scope.spawn(move || {
-                        for (slot, det) in slots.iter_mut().zip(detector.detect_batch(&sub)) {
-                            *slot = Some(det);
-                        }
-                    });
-                }
-            });
-            return out.into_iter().map(|d| d.expect("every chunk fills its slots")).collect();
-        }
-
-        // Channel-grouped dispatch order; workers receive disjoint index
-        // chunks and resolve jobs through the shared batch by index, then
-        // the results are scattered back to job order.
-        let mut order: Vec<usize> = (0..n).collect();
-        order.sort_by_key(|&i| (batch.jobs[i].channel, i));
-
-        let mut out: Vec<Option<Detection>> = vec![None; n];
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = order
-                .chunks(chunk_len)
-                .map(|idx_chunk| {
-                    let detector = self.detector;
-                    scope.spawn(move || detector.detect_batch_indexed(batch, idx_chunk))
-                })
-                .collect();
-            for (idx_chunk, handle) in order.chunks(chunk_len).zip(handles) {
-                let dets = handle.join().expect("detection worker panicked");
-                for (&slot, det) in idx_chunk.iter().zip(dets) {
-                    out[slot] = Some(det);
-                }
-            }
-        });
-        out.into_iter().map(|d| d.expect("every chunk fills its slots")).collect()
-    }
-}
-
-/// A **persistent** detection worker pool: threads are spawned once and
-/// reused across frames, unlike [`BatchDetector`], whose scoped threads are
-/// respawned (and whose closures are reallocated) on every call.
+/// The order is the job indices sorted by `(channel, index)`: a
+/// deterministic permutation, so each chunk spans whole channel groups and
+/// a detector that amortizes per-channel preprocessing re-factorizes each
+/// channel at most once per chunk (at most `parts − 1` groups straddle a
+/// chunk boundary). An OFDM frame's jobs arrive symbol-major — the channel
+/// cycles every subcarrier — so without the grouping every chunk would
+/// touch, and re-factorize, every channel. When the jobs already arrive
+/// grouped (the flat-channel case with a single table entry) the sort is
+/// skipped. Allocation-free once `order` has grown to the job count.
 ///
-/// This is the multi-worker engine of the allocation-free frame pipeline
-/// (`gs-phy`'s `FrameWorkspace`): per frame, the caller *lends* its channel
-/// table and job buffers to the pool ([`DetectionPool::run`] swaps them in
-/// and back out — no copies), workers detect their chunks through
-/// [`MimoDetector::detect_batch_indexed_with`] into per-worker output slots
-/// whose buffers they recycle frame over frame, and the caller reads the
-/// results in place via [`DetectionPool::for_each_result`]. After one
-/// warmup frame of a given shape, a frame costs **zero heap allocations**
-/// on every thread involved (enforced by `tests/alloc_regression.rs`).
-///
-/// Jobs are dispatched in channel-grouped order (a stable permutation by
-/// channel index, computed in place), so each worker re-factorizes each
-/// distinct channel at most once per frame — the same amortization
-/// [`BatchDetector`] performs, with bit-identical results: detection is a
-/// pure per-job function and results are scattered back by job index.
-///
-/// The detector is installed per frame as an `Arc` clone (a refcount bump,
-/// not an allocation), so one pool can serve different detectors over its
-/// lifetime.
-pub struct DetectionPool {
-    shared: Arc<PoolShared>,
-    handles: Vec<JoinHandle<()>>,
-    n_workers: usize,
-}
-
-struct PoolShared {
-    signal: Mutex<PoolSignal>,
-    work_cv: Condvar,
-    done_cv: Condvar,
-    data: RwLock<PoolData>,
-    /// Per-worker result slots: each worker writes only its own slot, the
-    /// main thread reads them between frames. Slot buffers persist, so
-    /// workers recycle their `Detection` symbol vectors via their own
-    /// workspace on the next frame.
-    slots: Vec<Mutex<Vec<Detection>>>,
-}
-
-#[derive(Default)]
-struct PoolSignal {
-    epoch: u64,
-    remaining: usize,
-    shutdown: bool,
-    /// Set when a worker unwound mid-frame; [`DetectionPool::run`]
-    /// propagates it as a panic instead of returning partial results.
-    worker_panicked: bool,
-}
-
-/// Poison-tolerant mutex lock: a panicked sibling must not cascade —
-/// the pool's own `worker_panicked` flag carries the failure instead.
-fn lock_ignoring_poison<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
-}
-
-/// Decrements `remaining` (and records unwinding workers) even if the
-/// frame's detection panicked, so [`DetectionPool::run`] can never hang
-/// waiting on a dead worker.
-struct FrameDoneGuard<'a> {
-    shared: &'a PoolShared,
-}
-
-impl Drop for FrameDoneGuard<'_> {
-    fn drop(&mut self) {
-        let mut sig = lock_ignoring_poison(&self.shared.signal);
-        if std::thread::panicking() {
-            sig.worker_panicked = true;
-        }
-        sig.remaining -= 1;
-        let done = sig.remaining == 0;
-        drop(sig);
-        if done {
-            self.shared.done_cv.notify_all();
-        }
+/// Detection is a pure per-job function, so callers that scatter each
+/// chunk's results back by job index get output bit-identical to serial
+/// detection at any chunk count.
+pub fn channel_grouped_chunks(
+    jobs: &[DetectionJob],
+    parts: usize,
+    order: &mut Vec<usize>,
+) -> impl Iterator<Item = Range<usize>> {
+    let n = jobs.len();
+    order.clear();
+    order.extend(0..n);
+    if !jobs.windows(2).all(|w| w[0].channel <= w[1].channel) {
+        order.sort_unstable_by_key(|&i| (jobs[i].channel, i));
     }
-}
-
-struct PoolData {
-    detector: Option<Arc<dyn MimoDetector>>,
-    channels: Vec<Matrix>,
-    jobs: Vec<DetectionJob>,
-    n_jobs: usize,
-    c: Constellation,
-    /// Channel-grouped dispatch order over `0..n_jobs`.
-    order: Vec<usize>,
-    /// Per-worker `[lo, hi)` index ranges into `order`.
-    ranges: Vec<(usize, usize)>,
-    /// Profiling stamp ([`gs_prof::ticks`] when the epoch was published;
-    /// `0` with profiling compiled out) — each waking worker attributes
-    /// its wakeup latency to [`gs_prof::Stage::Queue`].
-    submitted_at: u64,
-}
-
-impl Default for PoolData {
-    fn default() -> Self {
-        PoolData {
-            detector: None,
-            channels: Vec::new(),
-            jobs: Vec::new(),
-            n_jobs: 0,
-            c: Constellation::Qpsk,
-            order: Vec::new(),
-            ranges: Vec::new(),
-            submitted_at: 0,
-        }
-    }
-}
-
-impl DetectionPool {
-    /// Spawns a pool of exactly `workers.max(1)` threads, pinned
-    /// round-robin to cores unless `GS_NO_PIN` is set (see
-    /// [`crate::affinity`] — the workers are long-lived, so stable
-    /// placement keeps each worker's search workspace in one core's
-    /// cache).
-    ///
-    /// Unlike [`BatchDetector::new`], the count is **not** clamped to the
-    /// machine's parallelism: a long-lived receiver sizes its pool once,
-    /// and correctness (and the zero-allocation contract) hold at any
-    /// count — oversubscription only costs wall-clock.
-    pub fn new(workers: usize) -> Self {
-        Self::new_with_pinning(workers, !crate::affinity::pinning_disabled_by_env())
-    }
-
-    /// [`DetectionPool::new`] with explicit control over worker pinning
-    /// (the env-independent form, used by tests and by embedders that
-    /// manage placement themselves). Worker `i` is pinned to the `i mod
-    /// n`-th CPU of the process's **allowed** set (so `taskset`/cpuset
-    /// restrictions are respected rather than fought), best-effort.
-    pub fn new_with_pinning(workers: usize, pin: bool) -> Self {
-        let n_workers = workers.max(1);
-        let cpus = if pin { crate::affinity::allowed_cpus() } else { Vec::new() };
-        let shared = Arc::new(PoolShared {
-            signal: Mutex::new(PoolSignal::default()),
-            work_cv: Condvar::new(),
-            done_cv: Condvar::new(),
-            data: RwLock::new(PoolData::default()),
-            slots: (0..n_workers).map(|_| Mutex::new(Vec::new())).collect(),
-        });
-        let handles = (0..n_workers)
-            .map(|wid| {
-                let shared = Arc::clone(&shared);
-                let cpu = if cpus.is_empty() { None } else { Some(cpus[wid % cpus.len()]) };
-                std::thread::spawn(move || {
-                    if let Some(cpu) = cpu {
-                        // Best-effort: a rejected mask just leaves the
-                        // worker unpinned.
-                        crate::affinity::pin_current_thread(cpu);
-                    }
-                    pool_worker_loop(&shared, wid)
-                })
-            })
-            .collect();
-        DetectionPool { shared, handles, n_workers }
-    }
-
-    /// The pool's thread count.
-    pub fn workers(&self) -> usize {
-        self.n_workers
-    }
-
-    /// Detects `jobs[..n_jobs]` against `channels` across the pool,
-    /// blocking until every worker finishes.
-    ///
-    /// `channels` and `jobs` are lent to the pool for the duration of the
-    /// call (swapped in and back out; their contents are untouched). Read
-    /// the detections with [`DetectionPool::for_each_result`] — they stay
-    /// in the per-worker slots so the buffers can be recycled next frame.
-    pub fn run(
-        &mut self,
-        detector: &Arc<dyn MimoDetector>,
-        channels: &mut Vec<Matrix>,
-        jobs: &mut Vec<DetectionJob>,
-        n_jobs: usize,
-        c: Constellation,
-    ) {
-        assert!(n_jobs <= jobs.len(), "n_jobs exceeds the job buffer");
-        {
-            let mut guard = self.shared.data.write().expect("pool data lock");
-            let data = &mut *guard;
-            data.detector = Some(Arc::clone(detector));
-            std::mem::swap(&mut data.channels, channels);
-            std::mem::swap(&mut data.jobs, jobs);
-            data.n_jobs = n_jobs;
-            data.c = c;
-
-            // Channel-grouped dispatch order. Keys (channel, index) are
-            // unique, so the in-place unstable sort is deterministic and
-            // equals the stable grouping BatchDetector uses. Skip the sort
-            // when jobs already arrive grouped (the flat-channel case).
-            data.order.clear();
-            data.order.extend(0..n_jobs);
-            let grouped = data.jobs[..n_jobs].windows(2).all(|w| w[0].channel <= w[1].channel);
-            if !grouped {
-                let jobs = &data.jobs;
-                data.order.sort_unstable_by_key(|&i| (jobs[i].channel, i));
-            }
-
-            let chunk = n_jobs.div_ceil(self.n_workers).max(1);
-            data.ranges.clear();
-            data.ranges.extend(
-                (0..self.n_workers)
-                    .map(|w| ((w * chunk).min(n_jobs), ((w + 1) * chunk).min(n_jobs))),
-            );
-            data.submitted_at = gs_prof::ticks();
-        }
-        {
-            let mut sig = lock_ignoring_poison(&self.shared.signal);
-            assert!(!sig.worker_panicked, "DetectionPool is dead: a worker panicked earlier");
-            sig.epoch += 1;
-            sig.remaining = self.n_workers;
-        }
-        self.shared.work_cv.notify_all();
-        {
-            let mut sig = lock_ignoring_poison(&self.shared.signal);
-            while sig.remaining > 0 {
-                sig = self
-                    .shared
-                    .done_cv
-                    .wait(sig)
-                    .unwrap_or_else(std::sync::PoisonError::into_inner);
-            }
-            // Propagate a worker's panic instead of returning a frame with
-            // silently missing detections (scoped-thread parity).
-            assert!(!sig.worker_panicked, "DetectionPool worker panicked during detection");
-        }
-        {
-            let mut guard = self.shared.data.write().expect("pool data lock");
-            let data = &mut *guard;
-            std::mem::swap(&mut data.channels, channels);
-            std::mem::swap(&mut data.jobs, jobs);
-            // Release the per-frame detector clone (refcount drop only).
-            data.detector = None;
-        }
-    }
-
-    /// Visits every detection of the last [`DetectionPool::run`] as
-    /// `(job_index, &Detection)`, in per-worker dispatch order. Job indices
-    /// cover `0..n_jobs` exactly once; callers scatter by index.
-    pub fn for_each_result(&self, mut f: impl FnMut(usize, &Detection)) {
-        let data = self.shared.data.read().expect("pool data lock");
-        for (wid, slot) in self.shared.slots.iter().enumerate() {
-            let out = lock_ignoring_poison(slot);
-            let (lo, hi) = data.ranges[wid];
-            debug_assert!(out.len() >= hi - lo, "worker {wid} under-filled its slot");
-            for (&job_idx, det) in data.order[lo..hi].iter().zip(out.iter()) {
-                f(job_idx, det);
-            }
-        }
-    }
-}
-
-impl Drop for DetectionPool {
-    fn drop(&mut self) {
-        lock_ignoring_poison(&self.shared.signal).shutdown = true;
-        self.shared.work_cv.notify_all();
-        for h in self.handles.drain(..) {
-            let _ = h.join();
-        }
-    }
-}
-
-fn pool_worker_loop(shared: &PoolShared, wid: usize) {
-    let mut last_epoch = 0u64;
-    let mut ws = DetectorWorkspace::new();
-    loop {
-        {
-            let mut sig = lock_ignoring_poison(&shared.signal);
-            loop {
-                if sig.shutdown {
-                    return;
-                }
-                if sig.epoch != last_epoch {
-                    last_epoch = sig.epoch;
-                    break;
-                }
-                sig = shared.work_cv.wait(sig).unwrap_or_else(std::sync::PoisonError::into_inner);
-            }
-        }
-        // From here the frame counts as claimed: the guard decrements
-        // `remaining` on every exit path, including a panicking detector,
-        // so the coordinator can never deadlock on a dead worker.
-        let _done = FrameDoneGuard { shared };
-        let data = shared.data.read().unwrap_or_else(std::sync::PoisonError::into_inner);
-        gs_prof::record(
-            gs_prof::Stage::Queue,
-            gs_prof::ticks().saturating_sub(data.submitted_at),
-            1,
-            0,
-        );
-        let (lo, hi) = data.ranges[wid];
-        if lo < hi {
-            let detector = data.detector.as_ref().expect("work installed").as_ref();
-            let batch = DetectionBatch {
-                channels: &data.channels,
-                jobs: &data.jobs[..data.n_jobs],
-                c: data.c,
-            };
-            let mut out = lock_ignoring_poison(&shared.slots[wid]);
-            detector.detect_batch_indexed_with(&batch, &data.order[lo..hi], &mut ws, &mut out);
-        }
-    }
+    let chunk = n.div_ceil(parts.max(1)).max(1);
+    (0..parts).map(move |p| (p * chunk).min(n)..((p + 1) * chunk).min(n))
 }
 
 #[cfg(test)]
@@ -524,6 +151,28 @@ mod tests {
         (channels, jobs)
     }
 
+    /// Detects `batch` chunk by chunk in [`channel_grouped_chunks`] order,
+    /// one reused workspace per chunk, scattering back to job order — what
+    /// a multi-worker caller does across its pool.
+    fn detect_chunked(
+        det: &dyn MimoDetector,
+        batch: &DetectionBatch,
+        parts: usize,
+    ) -> Vec<Detection> {
+        let mut order = Vec::new();
+        let mut slots: Vec<Option<Detection>> = vec![None; batch.jobs.len()];
+        let mut out = Vec::new();
+        for range in channel_grouped_chunks(batch.jobs, parts, &mut order) {
+            let mut ws = det.make_batch_workspace();
+            det.detect_batch_indexed_with(batch, &order[range.clone()], &mut ws, &mut out);
+            assert_eq!(out.len(), range.len());
+            for (&idx, d) in order[range].iter().zip(out.drain(..)) {
+                assert!(slots[idx].replace(d).is_none(), "job {idx} detected twice");
+            }
+        }
+        slots.into_iter().map(|d| d.expect("every job detected")).collect()
+    }
+
     #[test]
     fn batched_matches_serial_reference_all_detectors() {
         let c = Constellation::Qam16;
@@ -539,26 +188,25 @@ mod tests {
         for det in &detectors {
             let reference = batch.detect_serial(det.as_ref());
             let amortized = det.detect_batch(&batch);
-            for workers in [1, 2, 4, 7] {
-                let parallel = BatchDetector::new(det.as_ref(), workers).detect_batch(&batch);
-                assert_eq!(parallel.len(), reference.len());
-                for (k, (p, r)) in parallel.iter().zip(&reference).enumerate() {
-                    assert_eq!(p.symbols, r.symbols, "{} job {k} workers {workers}", det.name());
-                    assert_eq!(p.stats, r.stats, "{} job {k} workers {workers}", det.name());
-                }
-            }
             for (k, (a, r)) in amortized.iter().zip(&reference).enumerate() {
                 assert_eq!(a.symbols, r.symbols, "{} amortized job {k}", det.name());
                 assert_eq!(a.stats, r.stats, "{} amortized job {k}", det.name());
+            }
+            for parts in [1, 2, 4, 7] {
+                let chunked = detect_chunked(det.as_ref(), &batch, parts);
+                for (k, (p, r)) in chunked.iter().zip(&reference).enumerate() {
+                    assert_eq!(p.symbols, r.symbols, "{} job {k} parts {parts}", det.name());
+                    assert_eq!(p.stats, r.stats, "{} job {k} parts {parts}", det.name());
+                }
             }
         }
     }
 
     #[test]
     fn zero_workers_selects_parallelism() {
-        let det = ZfDetector;
-        let b = BatchDetector::new(&det, 0);
-        assert!(b.workers() >= 1);
+        let hw = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
+        assert_eq!(resolve_workers(0), hw);
+        assert_eq!(resolve_workers(16), 16, "an explicit count is not clamped");
     }
 
     #[test]
@@ -567,7 +215,12 @@ mod tests {
         let channels: Vec<Matrix> = vec![];
         let jobs: Vec<DetectionJob> = vec![];
         let batch = DetectionBatch { channels: &channels, jobs: &jobs, c: Constellation::Qpsk };
-        assert!(BatchDetector::new(&det, 4).detect_batch(&batch).is_empty());
+        assert!(det.detect_batch(&batch).is_empty());
+        let mut order = vec![7];
+        let ranges: Vec<Range<usize>> = channel_grouped_chunks(&jobs, 4, &mut order).collect();
+        assert!(order.is_empty());
+        assert_eq!(ranges.len(), 4);
+        assert!(ranges.iter().all(|r| r.is_empty()));
     }
 
     #[test]
@@ -576,7 +229,11 @@ mod tests {
         let (channels, jobs) = random_batch(302, c, 2, 2, 1, 3, 0.01);
         let batch = DetectionBatch { channels: &channels, jobs: &jobs, c };
         let det = geosphere_decoder();
-        let out = BatchDetector::new(&det, 16).detect_batch(&batch);
+        let mut order = Vec::new();
+        let ranges: Vec<Range<usize>> = channel_grouped_chunks(&jobs, 16, &mut order).collect();
+        assert_eq!(ranges.len(), 16, "one chunk per part, surplus parts empty");
+        assert_eq!(ranges.iter().map(|r| r.len()).sum::<usize>(), 3);
+        let out = detect_chunked(&det, &batch, 16);
         assert_eq!(out.len(), 3);
         let reference = batch.detect_serial(&det);
         for (p, r) in out.iter().zip(&reference) {
@@ -585,111 +242,20 @@ mod tests {
     }
 
     #[test]
-    fn pool_matches_serial_reference_across_frames() {
-        let c = Constellation::Qam16;
-        let (channels, jobs) = random_batch(303, c, 4, 4, 6, 48, 0.05);
-        let batch = DetectionBatch { channels: &channels, jobs: &jobs, c };
-        let det = geosphere_decoder();
-        let reference = batch.detect_serial(&det);
-        let arc: Arc<dyn MimoDetector> = Arc::new(det);
-        for workers in [1usize, 3, 5] {
-            let mut pool = DetectionPool::new(workers);
-            assert_eq!(pool.workers(), workers);
-            let mut ch = channels.clone();
-            let mut jb = jobs.clone();
-            // Reuse the same pool for several frames, including a short one
-            // (n_jobs < jobs.len()) to exercise shrinking dispatch.
-            for n in [jb.len(), jb.len() / 2, jb.len()] {
-                pool.run(&arc, &mut ch, &mut jb, n, c);
-                assert_eq!(ch.len(), channels.len(), "buffers returned");
-                assert_eq!(jb.len(), jobs.len(), "buffers returned");
-                let mut seen = vec![false; n];
-                pool.for_each_result(|idx, det| {
-                    assert!(!seen[idx], "job {idx} visited twice");
-                    seen[idx] = true;
-                    assert_eq!(det.symbols, reference[idx].symbols, "workers {workers} job {idx}");
-                    assert_eq!(det.stats, reference[idx].stats, "workers {workers} job {idx}");
-                });
-                assert!(seen.iter().all(|&s| s), "workers {workers}: every job covered");
-            }
-        }
-    }
-
-    #[test]
-    fn pool_propagates_worker_panic_instead_of_hanging() {
-        /// A detector whose batch path always panics.
-        #[derive(Clone, Copy, Debug, PartialEq)]
-        struct PanickyDetector;
-        impl MimoDetector for PanickyDetector {
-            fn detect(&self, _: &Matrix, _: &[Complex], _: Constellation) -> Detection {
-                panic!("intentional test panic");
-            }
-            fn name(&self) -> &'static str {
-                "panicky"
-            }
-        }
-
+    fn grouped_order_is_a_stable_channel_sort() {
+        // Symbol-major jobs (channel cycles every job) are regrouped by
+        // channel, ties in submission order; already-grouped jobs keep the
+        // identity order.
         let c = Constellation::Qpsk;
-        let (channels, jobs) = random_batch(305, c, 2, 2, 1, 6, 0.01);
-        let mut pool = DetectionPool::new(2);
-        let arc: Arc<dyn MimoDetector> = Arc::new(PanickyDetector);
-        let mut ch = channels;
-        let mut jb = jobs;
-        let n = jb.len();
-        let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            pool.run(&arc, &mut ch, &mut jb, n, c);
-        }));
-        assert!(run.is_err(), "a worker panic must surface as a coordinator panic, not a hang");
-        // The pool is dead; further use must fail fast, and dropping it
-        // (joining the surviving workers) must not hang either.
-        let reuse = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            pool.run(&arc, &mut ch, &mut jb, n, c);
-        }));
-        assert!(reuse.is_err(), "a dead pool must refuse further frames");
-        drop(pool);
-    }
-
-    #[test]
-    fn pool_detects_identically_pinned_and_unpinned() {
-        // Affinity is a placement hint; detection results must not depend
-        // on it (and pinning must not wedge the pool on any machine size).
-        let c = Constellation::Qam16;
-        let (channels, jobs) = random_batch(306, c, 4, 4, 4, 24, 0.05);
-        let batch = DetectionBatch { channels: &channels, jobs: &jobs, c };
-        let det = geosphere_decoder();
-        let reference = batch.detect_serial(&det);
-        let arc: Arc<dyn MimoDetector> = Arc::new(det);
-        for pin in [true, false] {
-            let mut pool = DetectionPool::new_with_pinning(3, pin);
-            let mut ch = channels.clone();
-            let mut jb = jobs.clone();
-            let n = jb.len();
-            pool.run(&arc, &mut ch, &mut jb, n, c);
-            pool.for_each_result(|idx, d| {
-                assert_eq!(d.symbols, reference[idx].symbols, "pin {pin} job {idx}");
-                assert_eq!(d.stats, reference[idx].stats, "pin {pin} job {idx}");
-            });
-        }
-    }
-
-    #[test]
-    fn pool_serves_changing_detectors() {
-        let c = Constellation::Qpsk;
-        let (channels, jobs) = random_batch(304, c, 2, 2, 2, 12, 0.02);
-        let batch = DetectionBatch { channels: &channels, jobs: &jobs, c };
-        let mut pool = DetectionPool::new(2);
-        let mut ch = channels.clone();
-        let mut jb = jobs.clone();
-        let detectors: Vec<Arc<dyn MimoDetector>> =
-            vec![Arc::new(geosphere_decoder()), Arc::new(ZfDetector), Arc::new(ethsd_decoder())];
-        for arc in &detectors {
-            let reference = batch.detect_serial(arc.as_ref());
-            let n = jb.len();
-            pool.run(arc, &mut ch, &mut jb, n, c);
-            pool.for_each_result(|idx, det| {
-                assert_eq!(det.symbols, reference[idx].symbols, "{}", arc.name());
-            });
-        }
+        let (_, jobs) = random_batch(303, c, 2, 2, 3, 7, 0.01);
+        let mut order = Vec::new();
+        let ranges: Vec<Range<usize>> = channel_grouped_chunks(&jobs, 2, &mut order).collect();
+        assert_eq!(order, vec![0, 3, 6, 1, 4, 2, 5]);
+        assert_eq!(ranges, vec![0..4, 4..7]);
+        let mut grouped = jobs.clone();
+        grouped.sort_by_key(|j| j.channel);
+        channel_grouped_chunks(&grouped, 3, &mut order).for_each(drop);
+        assert_eq!(order, (0..7).collect::<Vec<_>>());
     }
 
     #[test]

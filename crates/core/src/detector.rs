@@ -64,9 +64,10 @@ impl DetectorWorkspace {
 /// A hard-output MIMO detector.
 ///
 /// `Send + Sync` is part of the contract: detection is a pure function of
-/// `(h, y, c)` with no interior mutability, which is what lets
-/// [`BatchDetector`](crate::BatchDetector) share one detector across a
-/// worker pool by reference.
+/// `(h, y, c)` with no interior mutability, which is what lets one
+/// detector, behind an `Arc`, serve every
+/// [`ShardedDetectionPool`](crate::ShardedDetectionPool) worker at once
+/// without cloning or locking.
 pub trait MimoDetector: Send + Sync {
     /// Detects the transmitted symbol vector.
     ///
@@ -88,23 +89,6 @@ pub trait MimoDetector: Send + Sync {
         let mut ws = self.make_batch_workspace();
         let mut out = Vec::with_capacity(batch.jobs.len());
         self.detect_batch_with(batch, &mut ws, &mut out);
-        out
-    }
-
-    /// Detects the jobs selected by `indices` (results in `indices` order).
-    ///
-    /// This is the scattered-dispatch form [`crate::BatchDetector`] uses to
-    /// hand workers channel-grouped job subsets without materializing a
-    /// cloned, reordered job list. Like [`MimoDetector::detect_batch`], the
-    /// default delegates to the `_with` form, so one override serves both.
-    fn detect_batch_indexed(
-        &self,
-        batch: &crate::batch::DetectionBatch,
-        indices: &[usize],
-    ) -> Vec<Detection> {
-        let mut ws = self.make_batch_workspace();
-        let mut out = Vec::with_capacity(indices.len());
-        self.detect_batch_indexed_with(batch, indices, &mut ws, &mut out);
         out
     }
 
@@ -139,8 +123,11 @@ pub trait MimoDetector: Send + Sync {
 
     /// Detects the jobs selected by `indices` into a recycled output vector
     /// (results in `indices` order), reusing `ws` across calls — the
-    /// allocation-free counterpart of
-    /// [`MimoDetector::detect_batch_indexed`], bit-identical to it.
+    /// scattered-dispatch form pool workers use to detect a
+    /// channel-grouped chunk ([`crate::batch::channel_grouped_chunks`])
+    /// without materializing a cloned, reordered job list. Bit-identical
+    /// to detecting each selected job through
+    /// [`MimoDetector::detect_batch_with`].
     fn detect_batch_indexed_with(
         &self,
         batch: &crate::batch::DetectionBatch,

@@ -80,7 +80,7 @@ pub(crate) fn compute_sic_filters(h: &Matrix, lambda: f64) -> SicFilters {
     let nc = h.cols();
     let mut order: Vec<usize> = (0..nc).collect();
     let norms: Vec<f64> = (0..nc).map(|k| h.col(k).iter().map(|z| z.norm_sqr()).sum()).collect();
-    order.sort_by(|&a, &b| norms[b].partial_cmp(&norms[a]).unwrap());
+    order.sort_by(|&a, &b| norms[b].total_cmp(&norms[a]));
 
     let mut rows = Vec::with_capacity(nc);
     let mut remaining = order.clone();
@@ -218,6 +218,22 @@ mod tests {
     use gs_channel::RayleighChannel;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    #[test]
+    fn nan_channel_entry_returns_without_panicking() {
+        // One non-finite CSI entry used to panic the stream sort and the
+        // pivot search behind every linear and SIC filter.
+        let c = gs_modulation::Constellation::Qam16;
+        let mut h = RayleighChannel::new(4, 2).sample_matrix(&mut StdRng::seed_from_u64(803));
+        h[(1, 0)] = gs_linalg::Complex::new(f64::NAN, 0.0);
+        let y = vec![gs_linalg::Complex::ZERO; 4];
+        let _ = compute_sic_filters(&h, 0.1);
+        let detectors: [&dyn crate::MimoDetector; 3] =
+            [&crate::ZfDetector, &crate::MmseDetector::new(0.1), &crate::MmseSicDetector::new(0.1)];
+        for det in detectors {
+            assert_eq!(det.detect(&h, &y, c).symbols.len(), 2, "{}", det.name());
+        }
+    }
 
     #[test]
     fn linear_entry_rebuilt_on_csi_change() {

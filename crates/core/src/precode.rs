@@ -98,9 +98,7 @@ impl VectorPerturbationPrecoder {
 
         fn zigzag_ints(center: f64, window: i32) -> Vec<i32> {
             let mut v: Vec<i32> = (-window..=window).collect();
-            v.sort_by(|a, b| {
-                (*a as f64 - center).abs().partial_cmp(&(*b as f64 - center).abs()).unwrap()
-            });
+            v.sort_by(|a, b| (*a as f64 - center).abs().total_cmp(&(*b as f64 - center).abs()));
             v
         }
 

@@ -1,16 +1,17 @@
-//! Domain-sharded streaming detection dispatch.
+//! Domain-sharded detection dispatch — geosphere-core's one detection
+//! executor.
 //!
-//! [`DetectionPool`](crate::DetectionPool) is a *frame-synchronous* engine:
-//! one coordinator lends it one frame's jobs, blocks until every worker
-//! drains its chunk, and takes the buffers back. That shape is exactly
-//! right for a single receive loop, and exactly wrong for a streaming
-//! base-station runtime where many frames are in flight at once and the
-//! workers must never idle while some other frame is being planned or
-//! recovered.
+//! Every multi-worker detection in the workspace runs on a
+//! [`ShardedDetectionPool`]: the streaming base-station runtime
+//! (`gs-runtime`'s `FrameStream`, many frames in flight, workers that must
+//! never idle while some other frame is planned or recovered) and the
+//! frame-synchronous receive loop (`gs-phy`'s `FrameWorkspace`, which runs
+//! a one-shard pool and blocks on each frame's chunks). The two differ
+//! only in what their [`ShardedJob`] does and in how they wait.
 //!
-//! [`ShardedDetectionPool`] splits that pool along the machine's **memory
-//! domains** (NUMA nodes — [`crate::affinity::memory_domains`], with a
-//! flat single-domain fallback and a `GS_DOMAINS` override):
+//! [`ShardedDetectionPool`] splits its workers along the machine's
+//! **memory domains** (NUMA nodes — [`crate::affinity::memory_domains`],
+//! with a flat single-domain fallback and a `GS_DOMAINS` override):
 //!
 //! * **one job queue per shard**, so cross-domain queue traffic never sits
 //!   on a detection hot path — submission targets a shard explicitly and
@@ -27,14 +28,14 @@
 //!
 //! The pool is deliberately **frame-agnostic**: a task is an
 //! `Arc<dyn ShardedJob>` plus an opaque `token`, and [`ShardedJob::run_shard`]
-//! does whatever "detect my shard's portion" means for the embedder
-//! (`gs-runtime` implements it over its slot table; per-shard channel-table
-//! replicas live in the embedder's per-shard portions, refreshed by the
-//! shard's own workers so first-touch places them on the right domain).
-//! Submitting clones the `Arc` (a refcount bump) and pushes into a
-//! fixed-capacity heap — **zero heap allocations per task** once the pool
-//! is constructed, which is what lets the streaming runtime keep PR 3's
-//! allocation discipline in steady state.
+//! does whatever "detect my portion" means for the embedder (`gs-runtime`
+//! implements it over its slot table, with per-shard channel-table
+//! replicas refreshed by the shard's own workers so first-touch places
+//! them on the right domain; `gs-phy` over one frame's lent buffers, the
+//! token naming a chunk of the frame). Submitting clones the `Arc` (a
+//! refcount bump) and pushes into a fixed-capacity heap — **zero heap
+//! allocations per task** once the pool is constructed, which is what lets
+//! both embedders keep the frame path allocation-free in steady state.
 //!
 //! A panicking worker poisons the pool ([`ShardedDetectionPool::is_poisoned`])
 //! instead of hanging its siblings; submissions against a poisoned pool are
@@ -408,38 +409,72 @@ impl ShardedDetectionPool {
         token: usize,
         job: &Arc<dyn ShardedJob>,
     ) -> Result<(), PoolPoisoned> {
+        self.enqueue(shard, key, std::iter::once(token), job)
+    }
+
+    /// [`ShardedDetectionPool::submit`] for one task per token in
+    /// `tokens`, in token order, enqueued under one queue lock and woken
+    /// with one broadcast. A frame-synchronous caller submits all its
+    /// chunks this way: woken one by one, a worker pinned to the
+    /// submitter's CPU can preempt the submitter and run its chunk before
+    /// the next chunk is even queued, serializing the frame.
+    ///
+    /// # Panics
+    /// As [`ShardedDetectionPool::submit`].
+    pub fn submit_all(
+        &self,
+        shard: usize,
+        key: u64,
+        tokens: std::ops::Range<usize>,
+        job: &Arc<dyn ShardedJob>,
+    ) -> Result<(), PoolPoisoned> {
+        self.enqueue(shard, key, tokens, job)
+    }
+
+    fn enqueue(
+        &self,
+        shard: usize,
+        key: u64,
+        tokens: impl ExactSizeIterator<Item = usize>,
+        job: &Arc<dyn ShardedJob>,
+    ) -> Result<(), PoolPoisoned> {
         if self.is_poisoned() {
             return Err(PoolPoisoned);
         }
         let state = &self.shards[shard];
+        let n_tasks = tokens.len();
         // Capture the submitter's frame identity and stamp the enqueue on
         // the flight recorder (no-ops without an ambient context).
         let trace_ctx =
             gs_prof::trace::FrameCtx { shard: shard as u16, ..gs_prof::trace::context() };
-        if trace_ctx.frame != gs_prof::trace::NO_FRAME {
-            gs_prof::trace::emit_for(
-                gs_prof::trace::TracePoint::Enqueue,
-                gs_prof::trace::EventKind::Instant,
-                trace_ctx,
-            );
-        }
         let mut q = lock_ignoring_poison(&state.q);
-        let arrival = q.arrivals;
-        q.arrivals += 1;
-        let submitted_at = gs_prof::ticks();
-        let submitted_wall = Instant::now();
-        q.heap.push(Task {
-            key,
-            arrival,
-            token,
-            job: Arc::clone(job),
-            submitted_at,
-            submitted_wall,
-            trace_ctx,
-        });
+        for token in tokens {
+            if trace_ctx.frame != gs_prof::trace::NO_FRAME {
+                gs_prof::trace::emit_for(
+                    gs_prof::trace::TracePoint::Enqueue,
+                    gs_prof::trace::EventKind::Instant,
+                    trace_ctx,
+                );
+            }
+            let arrival = q.arrivals;
+            q.arrivals += 1;
+            q.heap.push(Task {
+                key,
+                arrival,
+                token,
+                job: Arc::clone(job),
+                submitted_at: gs_prof::ticks(),
+                submitted_wall: Instant::now(),
+                trace_ctx,
+            });
+        }
         state.depth.store(q.heap.len(), Ordering::Relaxed);
         drop(q);
-        state.cv.notify_one();
+        if n_tasks == 1 {
+            state.cv.notify_one();
+        } else {
+            state.cv.notify_all();
+        }
         Ok(())
     }
 
@@ -484,6 +519,12 @@ fn shard_cpu_slice(cpus: &[usize], siblings: usize, rank: usize) -> Vec<usize> {
 
 fn shard_worker_loop(state: &ShardState, poisoned: &AtomicBool, shard: usize) {
     let mut ws = DetectorWorkspace::new();
+    // Register this thread's profiler table and trace ring now (both are
+    // lazy thread-locals), so a worker's first task does not allocate
+    // whenever it comes — the pool does not choose which worker pops a
+    // task. No-ops with the features compiled out.
+    gs_prof::record(gs_prof::Stage::Queue, 0, 0, 0);
+    gs_prof::trace::clear_context();
     loop {
         let task = {
             let mut q = lock_ignoring_poison(&state.q);
@@ -635,6 +676,22 @@ mod tests {
         let mut depths = Vec::new();
         pool.queue_depths(&mut depths);
         assert_eq!(depths, vec![0]);
+    }
+
+    #[test]
+    fn submit_all_enqueues_every_token_in_order() {
+        let pool = ShardedDetectionPool::new_with_pinning(1, 1, 8, false);
+        let rec = Recorder::new();
+        let job: Arc<dyn ShardedJob> = rec.clone();
+        pool.submit(0, 0, usize::MAX, &job).unwrap(); // parks the worker
+        wait_queues_empty(&pool);
+        pool.submit_all(0, NO_DEADLINE, 1..5, &job).unwrap();
+        let mut depths = Vec::new();
+        pool.queue_depths(&mut depths);
+        assert_eq!(depths, vec![4]);
+        rec.open_gate();
+        rec.wait_ran(5);
+        assert_eq!(*rec.order.lock().unwrap(), vec![1, 2, 3, 4]);
     }
 
     #[test]

@@ -47,10 +47,8 @@ pub fn lu_decompose(a: &Matrix) -> Result<Lu, LinalgError> {
 
     for k in 0..n {
         // Partial pivot: largest |entry| in column k at or below the diagonal.
-        let (pivot_row, pivot_mag) = (k..n)
-            .map(|r| (r, lu[(r, k)].abs()))
-            .max_by(|a, b| a.1.partial_cmp(&b.1).unwrap())
-            .unwrap();
+        let (pivot_row, pivot_mag) =
+            (k..n).map(|r| (r, lu[(r, k)].abs())).max_by(|a, b| a.1.total_cmp(&b.1)).unwrap();
         if pivot_mag < 1e-14 {
             return Err(LinalgError::Singular);
         }
@@ -173,6 +171,19 @@ mod tests {
         Matrix::from_fn(m, n, |_, _| {
             Complex::new(rng.gen_range(-1.0..1.0), rng.gen_range(-1.0..1.0))
         })
+    }
+
+    #[test]
+    fn nan_entry_returns_without_panicking() {
+        // The pivot search, the sorted-QR column order and the singular
+        // value sort compare magnitudes with `total_cmp`: a non-finite
+        // entry gives a non-finite result, never a panic.
+        let mut a = Matrix::identity(3);
+        a[(1, 1)] = Complex::new(f64::NAN, 0.0);
+        let _ = lu_decompose(&a);
+        let _ = regularized_pseudo_inverse(&a, 0.1);
+        let _ = crate::sorted_qr_decompose(&a);
+        assert_eq!(crate::singular_values(&a).len(), 3);
     }
 
     #[test]

@@ -267,7 +267,7 @@ pub fn sorted_qr_decompose_into(h: &Matrix, ws: &mut QrWorkspace, out: &mut Sort
     // Ascending column norms: weakest stream detected first in natural
     // column order = last in the tree walk.
     let norms = &ws.norms;
-    out.perm.sort_by(|&a, &b| norms[a].partial_cmp(&norms[b]).unwrap());
+    out.perm.sort_by(|&a, &b| norms[a].total_cmp(&norms[b]));
 
     ws.permuted.reset_zeros(h.rows(), n);
     for r in 0..h.rows() {

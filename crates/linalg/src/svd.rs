@@ -70,7 +70,7 @@ fn one_sided_jacobi(mut u: Matrix) -> Vec<f64> {
 
     let mut sv: Vec<f64> =
         (0..n).map(|c| (0..m).map(|r| u[(r, c)].norm_sqr()).sum::<f64>().sqrt()).collect();
-    sv.sort_by(|a, b| b.partial_cmp(a).unwrap());
+    sv.sort_by(|a, b| b.total_cmp(a));
     sv
 }
 

@@ -196,6 +196,18 @@ mod tests {
     use super::*;
 
     #[test]
+    fn nan_symbol_slices_without_panicking() {
+        for c in Constellation::ALL {
+            let y = Complex::new(f64::NAN, 1.0);
+            let p = c.slice(y);
+            assert!(c.is_valid_coord(p.i) && c.is_valid_coord(p.q), "{c:?}");
+            let nearest =
+                c.points().into_iter().min_by(|a, b| a.dist_sqr(y).total_cmp(&b.dist_sqr(y)));
+            assert!(nearest.is_some(), "{c:?}");
+        }
+    }
+
+    #[test]
     fn sizes_and_bits() {
         assert_eq!(Constellation::Qpsk.size(), 4);
         assert_eq!(Constellation::Qam256.bits_per_symbol(), 8);
@@ -240,10 +252,8 @@ mod tests {
             {
                 let y = Complex::new(re, im);
                 let sliced = c.slice(y);
-                let best = pts
-                    .iter()
-                    .min_by(|a, b| a.dist_sqr(y).partial_cmp(&b.dist_sqr(y)).unwrap())
-                    .unwrap();
+                let best =
+                    pts.iter().min_by(|a, b| a.dist_sqr(y).total_cmp(&b.dist_sqr(y))).unwrap();
                 assert!(
                     (sliced.dist_sqr(y) - best.dist_sqr(y)).abs() < 1e-12,
                     "{c:?} slice({y:?}) = {sliced:?}, best {best:?}"

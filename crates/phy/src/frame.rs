@@ -6,8 +6,10 @@
 //! uplink frame exchange touches — the transmit-chain scratch, the planned
 //! per-client symbol grids, the pooled [`DetectionJob`] `y` buffers, the
 //! detection outputs, the per-client LLR streams of the soft path, and the
-//! receive-chain (deinterleave/depuncture/Viterbi) scratch — plus the
-//! persistent [`DetectionPool`] for multi-worker decoding.
+//! receive-chain (deinterleave/depuncture/Viterbi) scratch — plus, for
+//! multi-worker decoding, a one-shard
+//! [`ShardedDetectionPool`] (geosphere-core's one detection executor,
+//! the same engine `gs-runtime`'s streaming runtime runs on).
 //!
 //! ## Ownership model
 //!
@@ -19,11 +21,26 @@
 //! [`uplink_frame_soft_into`](crate::soft_rx::uplink_frame_soft_into)
 //! (soft path): after one warmup frame of a given shape, a frame performs
 //! **zero heap allocations** end to end — planning, detection (at any
-//! worker count: pool threads recycle their own search state and output
-//! buffers), and payload recovery. `tests/alloc_regression.rs` enforces
-//! this with a counting global allocator; `tests/frame_workspace_reuse.rs`
-//! proves reuse is bit-identical to fresh-workspace decoding, shrinking
-//! and growing frame shapes included.
+//! worker count: each chunk of the frame keeps its own search state and
+//! output slot frame after frame), and payload recovery.
+//! `tests/alloc_regression.rs` enforces this with a counting global
+//! allocator; `tests/frame_workspace_reuse.rs` proves reuse is
+//! bit-identical to fresh-workspace decoding, shrinking and growing frame
+//! shapes included.
+//!
+//! ## Multi-worker frames
+//!
+//! With `workers > 1` the workspace builds a
+//! `ShardedDetectionPool::new(1, workers, workers)` on first use (and
+//! rebuilds it only when the worker count changes). Each frame lends its
+//! channel table and job buffers to the workspace's one [`ShardedJob`]
+//! (swapped in and back out, never copied), submits `workers` contiguous
+//! chunks of the channel-grouped order ([`channel_grouped_chunks`]) with
+//! [`NO_DEADLINE`] in one batch
+//! ([`ShardedDetectionPool::submit_all`]), and blocks until every chunk
+//! is detected. A detector panic poisons the pool: the frame
+//! panics instead of returning partial results, and the workspace refuses
+//! every later multi-worker frame.
 //!
 //! Buffers only ever grow: a smaller frame reuses the prefix of a larger
 //! frame's buffers, so alternating shapes stay allocation-free once the
@@ -33,16 +50,19 @@ use crate::config::PhyConfig;
 use crate::iterative::IterScratch;
 use crate::txrx::UplinkOutcome;
 use geosphere_core::{
-    Detection, DetectionJob, DetectionPool, DetectorStats, DetectorTier, DetectorWorkspace,
-    MimoDetector, SoftDetection, SoftWorkspace,
+    channel_grouped_chunks, Detection, DetectionBatch, DetectionJob, DetectorStats, DetectorTier,
+    DetectorWorkspace, MimoDetector, ShardedDetectionPool, ShardedJob, SoftDetection,
+    SoftWorkspace, NO_DEADLINE,
 };
 use gs_channel::MimoChannel;
 use gs_coding::{CodedBit, ViterbiWorkspace};
 use gs_linalg::{Complex, Matrix};
-use gs_modulation::GridPoint;
+use gs_modulation::{Constellation, GridPoint};
 use rand::Rng;
 use std::any::Any;
-use std::sync::Arc;
+use std::ops::Range;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError, RwLock};
+use std::time::Duration;
 
 /// Transmit-chain scratch shared by all clients of a frame (each client's
 /// chain runs start-to-finish before the next client's).
@@ -90,6 +110,171 @@ pub(crate) struct PoolDetector {
     arc: Arc<dyn MimoDetector>,
 }
 
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// The multi-worker detect stage: a one-shard [`ShardedDetectionPool`]
+/// and the one [`ShardedJob`] every frame is lent to.
+pub(crate) struct FramePool {
+    pool: ShardedDetectionPool,
+    job: Arc<FrameJob>,
+}
+
+/// One frame's detection as the pool workers see it. Chunk `i` (the task
+/// token) detects `order[ranges[i]]` into `slots[i]`.
+struct FrameJob {
+    /// The lent frame: written by the coordinator between frames, read by
+    /// the workers during one.
+    frame: RwLock<LentFrame>,
+    /// Per-chunk state, reused frame after frame.
+    slots: Vec<Mutex<ChunkSlot>>,
+    /// Chunks of the current frame still being detected.
+    remaining: Mutex<usize>,
+    done: Condvar,
+}
+
+/// One chunk's detector workspace and outputs. The workspace belongs to
+/// the chunk, not to the worker that happens to pop it: any worker may run
+/// any chunk, and a chunk's search state, QR slabs and recycled `Detection`
+/// symbol vectors must be warm whichever worker that is for a frame to
+/// stay allocation-free.
+#[derive(Default)]
+struct ChunkSlot {
+    ws: DetectorWorkspace,
+    out: Vec<Detection>,
+}
+
+#[derive(Default)]
+struct LentFrame {
+    /// The frame's detector and constellation; the detector `Arc` is
+    /// installed per frame (a refcount bump) and released after it.
+    installed: Option<(Arc<dyn MimoDetector>, Constellation)>,
+    channels: Vec<Matrix>,
+    jobs: Vec<DetectionJob>,
+    n_jobs: usize,
+    /// Channel-grouped dispatch order over `0..n_jobs`.
+    order: Vec<usize>,
+    /// Per-chunk ranges into `order`.
+    ranges: Vec<Range<usize>>,
+}
+
+impl ShardedJob for FrameJob {
+    fn run_shard(&self, _shard: usize, chunk: usize, _worker_ws: &mut DetectorWorkspace) {
+        {
+            let frame = self.frame.read().unwrap_or_else(PoisonError::into_inner);
+            let range = frame.ranges[chunk].clone();
+            if !range.is_empty() {
+                let (detector, c) = frame.installed.as_ref().expect("detector installed");
+                let batch = DetectionBatch {
+                    channels: &frame.channels,
+                    jobs: &frame.jobs[..frame.n_jobs],
+                    c: *c,
+                };
+                let mut slot = lock(&self.slots[chunk]);
+                let ChunkSlot { ws, out } = &mut *slot;
+                detector.detect_batch_indexed_with(&batch, &frame.order[range], ws, out);
+            }
+        }
+        let mut remaining = lock(&self.remaining);
+        *remaining -= 1;
+        if *remaining == 0 {
+            self.done.notify_one();
+        }
+    }
+}
+
+impl FramePool {
+    /// A pool of `workers` threads on one shard, pinned per `GS_NO_PIN`.
+    fn new(workers: usize) -> Self {
+        Self::on(ShardedDetectionPool::new(1, workers, workers))
+    }
+
+    /// Wraps a one-shard pool whose queue holds one frame's chunks.
+    fn on(pool: ShardedDetectionPool) -> Self {
+        let workers = pool.workers();
+        FramePool {
+            pool,
+            job: Arc::new(FrameJob {
+                frame: RwLock::default(),
+                slots: (0..workers).map(|_| Mutex::default()).collect(),
+                remaining: Mutex::new(0),
+                done: Condvar::new(),
+            }),
+        }
+    }
+
+    /// The pool's worker count (= chunks per frame).
+    pub(crate) fn workers(&self) -> usize {
+        self.pool.workers()
+    }
+
+    /// Detects `jobs[..n_jobs]` against `channels` across the pool and
+    /// blocks until every chunk is done. `channels` and `jobs` are lent for
+    /// the call (swapped in and back out; contents untouched); read the
+    /// detections with [`FramePool::for_each_result`].
+    ///
+    /// # Panics
+    /// Panics when a worker panicked, during this frame or an earlier one.
+    pub(crate) fn run(
+        &self,
+        detector: &Arc<dyn MimoDetector>,
+        channels: &mut Vec<Matrix>,
+        jobs: &mut Vec<DetectionJob>,
+        n_jobs: usize,
+        c: Constellation,
+    ) {
+        assert!(
+            !self.pool.is_poisoned(),
+            "frame detection pool is dead: a worker panicked earlier"
+        );
+        let workers = self.workers();
+        {
+            let mut frame = self.job.frame.write().unwrap_or_else(PoisonError::into_inner);
+            let f = &mut *frame;
+            f.installed = Some((Arc::clone(detector), c));
+            std::mem::swap(&mut f.channels, channels);
+            std::mem::swap(&mut f.jobs, jobs);
+            f.n_jobs = n_jobs;
+            f.ranges.clear();
+            f.ranges.extend(channel_grouped_chunks(&f.jobs[..n_jobs], workers, &mut f.order));
+        }
+        *lock(&self.job.remaining) = workers;
+        let job: Arc<dyn ShardedJob> = self.job.clone();
+        // Poisoned since the check above: the wait below reports it.
+        let _ = self.pool.submit_all(0, NO_DEADLINE, 0..workers, &job);
+        // Wait on the remaining-chunks count, polling the poison flag: a
+        // panicked worker's chunk never completes.
+        let mut remaining = lock(&self.job.remaining);
+        while *remaining > 0 {
+            assert!(!self.pool.is_poisoned(), "frame detection pool worker panicked");
+            remaining = self
+                .job
+                .done
+                .wait_timeout(remaining, Duration::from_millis(100))
+                .unwrap_or_else(PoisonError::into_inner)
+                .0;
+        }
+        drop(remaining);
+        let mut frame = self.job.frame.write().unwrap_or_else(PoisonError::into_inner);
+        std::mem::swap(&mut frame.channels, channels);
+        std::mem::swap(&mut frame.jobs, jobs);
+        frame.installed = None;
+    }
+
+    /// Visits every detection of the last [`FramePool::run`] as
+    /// `(job_index, &Detection)`, chunk by chunk. Job indices cover
+    /// `0..n_jobs` exactly once; callers scatter by index.
+    pub(crate) fn for_each_result(&self, mut f: impl FnMut(usize, &Detection)) {
+        let frame = self.job.frame.read().unwrap_or_else(PoisonError::into_inner);
+        for (range, slot) in frame.ranges.iter().zip(&self.job.slots) {
+            for (&idx, det) in frame.order[range.clone()].iter().zip(&lock(slot).out) {
+                f(idx, det);
+            }
+        }
+    }
+}
+
 /// Reusable whole-frame state for the uplink receive loop. See the module
 /// docs for the ownership model; create with [`FrameWorkspace::new`] and
 /// pass to the `_into` frame entry points in [`crate::txrx`],
@@ -126,7 +311,7 @@ pub struct FrameWorkspace {
     /// Detection outputs of the single-worker inline path (recycled).
     pub(crate) det_out: Vec<Detection>,
     /// Persistent multi-worker pool, built on first multi-worker decode.
-    pub(crate) pool: Option<DetectionPool>,
+    pub(crate) pool: Option<FramePool>,
     /// The detector currently installed for the pool.
     pub(crate) pool_detector: Option<PoolDetector>,
 
@@ -210,14 +395,12 @@ impl FrameWorkspace {
         Arc::clone(&self.pool_detector.as_ref().expect("detector just installed").arc)
     }
 
-    /// The persistent pool sized to `workers`, (re)built only when the
-    /// worker count changes.
-    pub(crate) fn pool_with_workers(&mut self, workers: usize) -> &mut DetectionPool {
-        let workers = workers.max(1);
+    /// Sizes the persistent pool to `workers`, (re)building it only when
+    /// the worker count changes.
+    pub(crate) fn ensure_pool(&mut self, workers: usize) {
         if !matches!(&self.pool, Some(p) if p.workers() == workers) {
-            self.pool = Some(DetectionPool::new(workers));
+            self.pool = Some(FramePool::new(workers));
         }
-        self.pool.as_mut().expect("pool just built")
     }
 }
 
@@ -289,5 +472,132 @@ impl FrameWorkspace {
     /// [`FrameWorkspace::outcome`] until the next frame).
     pub fn finish_uplink(&mut self, cfg: &PhyConfig, stats: DetectorStats) -> &UplinkOutcome {
         crate::txrx::finish_outcome(cfg, self, stats)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::txrx::{decode_frame_batched_into, uplink_frame};
+    use geosphere_core::{ethsd_decoder, geosphere_decoder, Detection, ZfDetector};
+    use gs_channel::{ChannelModel, SelectiveRayleighChannel};
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+
+    fn cfg(payload_bits: usize) -> PhyConfig {
+        PhyConfig { payload_bits, ..PhyConfig::new(Constellation::Qam16) }
+    }
+
+    fn selective_channel(seed: u64) -> MimoChannel {
+        SelectiveRayleighChannel::indoor(4, 4).realize(&mut StdRng::seed_from_u64(seed))
+    }
+
+    /// Decodes one seeded frame through `ws` at `workers` and checks it
+    /// against the serial reference receive path.
+    fn assert_matches_serial<D>(
+        cfg: &PhyConfig,
+        ch: &MimoChannel,
+        det: &D,
+        workers: usize,
+        ws: &mut FrameWorkspace,
+        label: &str,
+    ) where
+        D: MimoDetector + Clone + PartialEq + 'static,
+    {
+        let reference = uplink_frame(cfg, ch, det, 18.0, &mut StdRng::seed_from_u64(303));
+        let mut rng = StdRng::seed_from_u64(303);
+        let out = decode_frame_batched_into(cfg, ch, det, 18.0, &mut rng, workers, ws);
+        assert_eq!(out.client_ok, reference.client_ok, "{label}");
+        assert_eq!(out.stats, reference.stats, "{label}");
+        assert_eq!(out.detections, reference.detections, "{label}");
+    }
+
+    #[test]
+    fn pool_matches_serial_reference_across_frames() {
+        let ch = selective_channel(303);
+        let det = geosphere_decoder();
+        for workers in [3usize, 5] {
+            let mut ws = FrameWorkspace::new();
+            // Reuse one pool for several frames, including a shorter one
+            // (fewer OFDM symbols, so fewer jobs than the buffers hold).
+            for payload_bits in [1024, 256, 1024] {
+                let label = format!("workers {workers} payload {payload_bits}");
+                assert_matches_serial(&cfg(payload_bits), &ch, &det, workers, &mut ws, &label);
+                assert_eq!(ws.pool.as_ref().map(FramePool::workers), Some(workers));
+            }
+        }
+    }
+
+    #[test]
+    fn pool_serves_changing_detectors() {
+        let ch = selective_channel(304);
+        let cfg = cfg(512);
+        let mut ws = FrameWorkspace::new();
+        assert_matches_serial(&cfg, &ch, &geosphere_decoder(), 2, &mut ws, "geosphere");
+        assert_matches_serial(&cfg, &ch, &ZfDetector, 2, &mut ws, "zf");
+        assert_matches_serial(&cfg, &ch, &ethsd_decoder(), 2, &mut ws, "ethsd");
+        assert_matches_serial(&cfg, &ch, &geosphere_decoder(), 2, &mut ws, "geosphere again");
+    }
+
+    #[test]
+    fn pool_detects_identically_pinned_and_unpinned() {
+        // Affinity is a placement hint; detection results must not depend
+        // on it (and pinning must not wedge the pool on any machine size).
+        let ch = selective_channel(306);
+        let det = geosphere_decoder();
+        for pin in [true, false] {
+            let mut ws = FrameWorkspace::new();
+            ws.pool = Some(FramePool::on(ShardedDetectionPool::new_with_pinning(1, 3, 3, pin)));
+            assert_matches_serial(&cfg(512), &ch, &det, 3, &mut ws, &format!("pin {pin}"));
+        }
+    }
+
+    #[test]
+    fn pool_propagates_worker_panic_instead_of_hanging() {
+        /// A detector whose every detection panics.
+        #[derive(Clone, Copy, Debug, PartialEq)]
+        struct PanickyDetector;
+        impl MimoDetector for PanickyDetector {
+            fn detect(&self, _: &Matrix, _: &[Complex], _: Constellation) -> Detection {
+                panic!("intentional test panic");
+            }
+            fn name(&self) -> &'static str {
+                "panicky"
+            }
+        }
+
+        let ch = selective_channel(305);
+        let cfg = cfg(256);
+        let mut ws = FrameWorkspace::new();
+        let panics = |f: &mut dyn FnMut()| {
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)).is_err()
+        };
+        let mut rng = StdRng::seed_from_u64(305);
+        assert!(
+            panics(&mut || {
+                decode_frame_batched_into(&cfg, &ch, &PanickyDetector, 18.0, &mut rng, 2, &mut ws);
+            }),
+            "a worker panic must surface as a coordinator panic, not a hang"
+        );
+        // The pool is dead; the next frame — even with a sound detector —
+        // must fail fast, and dropping the workspace (joining the pool's
+        // workers, dead or alive) must not hang either.
+        let det = geosphere_decoder();
+        assert!(
+            panics(&mut || {
+                decode_frame_batched_into(&cfg, &ch, &det, 18.0, &mut rng, 2, &mut ws);
+            }),
+            "a dead pool must refuse further frames"
+        );
+        drop(ws);
+    }
+
+    #[test]
+    fn zero_workers_sizes_the_pool_to_the_machine() {
+        let hw = geosphere_core::resolve_workers(0);
+        let mut ws = FrameWorkspace::new();
+        assert_matches_serial(&cfg(256), &selective_channel(307), &ZfDetector, 0, &mut ws, "0w");
+        // One hardware thread decodes inline; more get a pool of that size.
+        assert_eq!(ws.pool.as_ref().map_or(1, FramePool::workers), hw);
     }
 }

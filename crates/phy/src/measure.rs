@@ -7,12 +7,11 @@
 
 use crate::config::PhyConfig;
 use crate::frame::FrameWorkspace;
-use crate::txrx::{
-    decode_frame_batched_into, decode_frame_scoped_into, uplink_frame_with_csi_into,
-};
+use crate::txrx::{decode_frame_shared_into, uplink_frame_with_csi_into};
 use geosphere_core::{AverageStats, DetectorStats, MimoDetector};
 use gs_channel::ChannelModel;
 use rand::Rng;
+use std::sync::Arc;
 
 /// Aggregated measurement over many frames.
 #[derive(Clone, Debug)]
@@ -48,7 +47,7 @@ where
     D: MimoDetector + ?Sized,
 {
     let mut ws = FrameWorkspace::new();
-    measure_impl(cfg, model, detector, snr_db, frames, rng, None, &mut ws)
+    measure_impl(cfg, model, &Receiver::Serial(detector), snr_db, frames, rng, &mut ws)
 }
 
 /// [`measure`] recycling a caller-held [`FrameWorkspace`], so long
@@ -69,45 +68,24 @@ where
     M: ChannelModel,
     D: MimoDetector + ?Sized,
 {
-    measure_impl(cfg, model, detector, snr_db, frames, rng, None, ws)
+    measure_impl(cfg, model, &Receiver::Serial(detector), snr_db, frames, rng, ws)
 }
 
-/// [`measure`] with the frame decode fanned out across `workers` threads
-/// (`0` = machine parallelism) through
-/// [`decode_frame_batched`](crate::txrx::decode_frame_batched).
+/// [`measure_in`] with the frame decode fanned out across `workers`
+/// threads (`0` = machine parallelism) through the batched decode path
+/// ([`decode_frame_batched_into`](crate::txrx::decode_frame_batched_into)),
+/// recycling a caller-held [`FrameWorkspace`] — and with it the
+/// workspace's worker pool — across a whole sweep. The detector is
+/// installed into the pool as a refcount bump per frame.
 ///
 /// Results are bit-identical to [`measure`] for the same `rng` state —
 /// the batched decode path is deterministic — so experiment outputs don't
 /// depend on the worker count, only wall-clock does.
-pub fn measure_batched<R, M, D>(
-    cfg: &PhyConfig,
-    model: &M,
-    detector: &D,
-    snr_db: f64,
-    frames: usize,
-    rng: &mut R,
-    workers: usize,
-) -> Measurement
-where
-    R: Rng + ?Sized,
-    M: ChannelModel,
-    D: MimoDetector + ?Sized,
-{
-    let mut ws = FrameWorkspace::new();
-    measure_impl(cfg, model, detector, snr_db, frames, rng, Some(workers), &mut ws)
-}
-
-/// [`measure_batched`] recycling a caller-held [`FrameWorkspace`] — the
-/// sweep-friendly form for detectors only known as `&dyn MimoDetector`
-/// (multi-worker frames fan out through scoped threads; callers that can
-/// name the detector type should prefer [`measure_batched_into`] and its
-/// persistent pool). Bit-identical to [`measure_batched`] for the same
-/// `rng` state.
 #[allow(clippy::too_many_arguments)]
-pub fn measure_batched_in<R, M, D>(
+pub fn measure_batched_in<R, M>(
     cfg: &PhyConfig,
     model: &M,
-    detector: &D,
+    detector: &Arc<dyn MimoDetector>,
     snr_db: f64,
     frames: usize,
     rng: &mut R,
@@ -117,55 +95,37 @@ pub fn measure_batched_in<R, M, D>(
 where
     R: Rng + ?Sized,
     M: ChannelModel,
-    D: MimoDetector + ?Sized,
 {
-    measure_impl(cfg, model, detector, snr_db, frames, rng, Some(workers), ws)
+    measure_impl(
+        cfg,
+        model,
+        &Receiver::<dyn MimoDetector>::Batched(detector, workers),
+        snr_db,
+        frames,
+        rng,
+        ws,
+    )
 }
 
-/// [`measure_batched`] recycling a caller-held [`FrameWorkspace`] through
-/// [`decode_frame_batched_into`]: after the first frame, each further
-/// frame's *decode* (plan, detection via the persistent worker pool,
-/// receive chain) performs zero heap allocations — only the per-frame
-/// channel realization still allocates. Bit-identical to
-/// [`measure_batched`] for the same `rng` state.
-#[allow(clippy::too_many_arguments)]
-pub fn measure_batched_into<R, M, D>(
-    cfg: &PhyConfig,
-    model: &M,
-    detector: &D,
-    snr_db: f64,
-    frames: usize,
-    rng: &mut R,
-    workers: usize,
-    ws: &mut FrameWorkspace,
-) -> Measurement
-where
-    R: Rng + ?Sized,
-    M: ChannelModel,
-    D: MimoDetector + Clone + PartialEq + 'static,
-{
-    let mut acc = MeasureAccum::new(model.num_tx());
-    for _ in 0..frames {
-        let ch = model.realize(rng);
-        let out = decode_frame_batched_into(cfg, &ch, detector, snr_db, rng, workers, ws);
-        acc.absorb(out);
-    }
-    acc.finish(cfg, frames)
+/// How a measurement decodes its frames.
+enum Receiver<'a, D: ?Sized> {
+    /// The serial reference path ([`uplink_frame_with_csi_into`]).
+    Serial(&'a D),
+    /// The batched path on `workers` threads.
+    Batched(&'a Arc<dyn MimoDetector>, usize),
 }
 
-#[allow(clippy::too_many_arguments)]
 fn measure_impl<R, M, D>(
     cfg: &PhyConfig,
     model: &M,
-    detector: &D,
+    receiver: &Receiver<'_, D>,
     snr_db: f64,
     frames: usize,
     rng: &mut R,
-    workers: Option<usize>,
     // One workspace for the whole measurement (or, via the `_in` entry
     // points, for the caller's whole sweep): plan and receive-chain
-    // buffers are recycled across every frame (and, for `workers == 1`,
-    // the detection path is allocation-free after the first frame).
+    // buffers — and the batched path's worker pool — are recycled across
+    // every frame.
     ws: &mut FrameWorkspace,
 ) -> Measurement
 where
@@ -176,9 +136,13 @@ where
     let mut acc = MeasureAccum::new(model.num_tx());
     for _ in 0..frames {
         let ch = model.realize(rng);
-        let out = match workers {
-            Some(w) => decode_frame_scoped_into(cfg, &ch, detector, snr_db, rng, w, ws),
-            None => uplink_frame_with_csi_into(cfg, &ch, None, detector, snr_db, rng, ws),
+        let out = match receiver {
+            Receiver::Serial(det) => {
+                uplink_frame_with_csi_into(cfg, &ch, None, *det, snr_db, rng, ws)
+            }
+            Receiver::Batched(det, w) => {
+                decode_frame_shared_into(cfg, &ch, det, snr_db, rng, *w, ws)
+            }
         };
         acc.absorb(out);
     }
@@ -247,17 +211,17 @@ where
     M: ChannelModel,
     D: MimoDetector + ?Sized,
 {
-    snr_search_impl(cfg, model, detector, target_fer, frames, rng, None)
+    snr_search_impl(cfg, model, &Receiver::Serial(detector), target_fer, frames, rng)
 }
 
 /// [`snr_for_target_fer`] with each probe measurement decoded through the
 /// batched path (`0` = machine parallelism). Returns the same SNR as the
 /// serial search for the same `rng` state — the bisection consumes
 /// identical measurements — in less wall-clock.
-pub fn snr_for_target_fer_batched<R, M, D>(
+pub fn snr_for_target_fer_batched<R, M>(
     cfg: &PhyConfig,
     model: &M,
-    detector: &D,
+    detector: &Arc<dyn MimoDetector>,
     target_fer: f64,
     frames: usize,
     rng: &mut R,
@@ -266,19 +230,24 @@ pub fn snr_for_target_fer_batched<R, M, D>(
 where
     R: Rng + ?Sized,
     M: ChannelModel,
-    D: MimoDetector + ?Sized,
 {
-    snr_search_impl(cfg, model, detector, target_fer, frames, rng, Some(workers))
+    snr_search_impl(
+        cfg,
+        model,
+        &Receiver::<dyn MimoDetector>::Batched(detector, workers),
+        target_fer,
+        frames,
+        rng,
+    )
 }
 
 fn snr_search_impl<R, M, D>(
     cfg: &PhyConfig,
     model: &M,
-    detector: &D,
+    receiver: &Receiver<'_, D>,
     target_fer: f64,
     frames: usize,
     rng: &mut R,
-    workers: Option<usize>,
 ) -> f64
 where
     R: Rng + ?Sized,
@@ -291,7 +260,7 @@ where
     let mut ws = FrameWorkspace::new();
     for _ in 0..7 {
         let mid = (lo + hi) / 2.0;
-        let m = measure_impl(cfg, model, detector, mid, frames, rng, workers, &mut ws);
+        let m = measure_impl(cfg, model, receiver, mid, frames, rng, &mut ws);
         if m.fer > target_fer {
             lo = mid;
         } else {
@@ -380,17 +349,19 @@ mod tests {
     }
 
     #[test]
-    fn measure_batched_into_matches_measure_batched() {
+    fn measure_batched_in_matches_serial_measure() {
+        // One workspace (and so one worker pool per count) carried across
+        // the worker counts and several measurements.
         let cfg = small_cfg(Constellation::Qam16);
         let model = RayleighChannel::new(4, 2);
-        let det = geosphere_decoder();
+        let det: Arc<dyn MimoDetector> = Arc::new(geosphere_decoder());
         let mut ws = FrameWorkspace::new();
-        for workers in [1usize, 3] {
+        for workers in [1usize, 3, 3] {
             let mut rng = StdRng::seed_from_u64(185);
-            let reference = measure_batched(&cfg, &model, &det, 20.0, 4, &mut rng, workers);
+            let reference = measure(&cfg, &model, det.as_ref(), 20.0, 4, &mut rng);
             let mut rng = StdRng::seed_from_u64(185);
             let pooled =
-                measure_batched_into(&cfg, &model, &det, 20.0, 4, &mut rng, workers, &mut ws);
+                measure_batched_in(&cfg, &model, &det, 20.0, 4, &mut rng, workers, &mut ws);
             assert_eq!(pooled.client_fer, reference.client_fer, "workers {workers}");
             assert_eq!(pooled.fer, reference.fer, "workers {workers}");
             assert_eq!(
@@ -408,6 +379,7 @@ mod tests {
         let cfg = small_cfg(Constellation::Qam16);
         let model = RayleighChannel::new(4, 2);
         let det = geosphere_decoder();
+        let shared: Arc<dyn MimoDetector> = Arc::new(det);
         let mut ws = FrameWorkspace::new();
         for snr in [10.0, 18.0, 26.0] {
             let mut rng = StdRng::seed_from_u64(186);
@@ -418,9 +390,18 @@ mod tests {
             assert_eq!(reused.per_subcarrier.ped_calcs, fresh.per_subcarrier.ped_calcs);
 
             let mut rng = StdRng::seed_from_u64(187);
-            let fresh_b = measure_batched(&cfg, &model, &det, snr, 3, &mut rng, 2);
+            let fresh_b = measure_batched_in(
+                &cfg,
+                &model,
+                &shared,
+                snr,
+                3,
+                &mut rng,
+                2,
+                &mut FrameWorkspace::new(),
+            );
             let mut rng = StdRng::seed_from_u64(187);
-            let reused_b = measure_batched_in(&cfg, &model, &det, snr, 3, &mut rng, 2, &mut ws);
+            let reused_b = measure_batched_in(&cfg, &model, &shared, snr, 3, &mut rng, 2, &mut ws);
             assert_eq!(reused_b.client_fer, fresh_b.client_fer, "batched snr {snr}");
             assert_eq!(reused_b.per_subcarrier.ped_calcs, fresh_b.per_subcarrier.ped_calcs);
         }

@@ -20,7 +20,7 @@
 use crate::config::PhyConfig;
 use crate::frame::{FrameWorkspace, RxScratch, TxScratch};
 use geosphere_core::{
-    apply_channel_into, BatchDetector, DetectionBatch, DetectionJob, DetectorStats, MimoDetector,
+    apply_channel_into, resolve_workers, DetectionBatch, DetectionJob, DetectorStats, MimoDetector,
 };
 use gs_channel::{sample_cn, MimoChannel};
 use gs_coding::{
@@ -30,6 +30,7 @@ use gs_coding::{
 use gs_linalg::Matrix;
 use gs_modulation::{map_bitstream_into, unmap_points_into, GridPoint};
 use rand::Rng;
+use std::sync::Arc;
 
 /// A transmitted client frame: the original payload and the grid-domain
 /// symbol plan `[ofdm_symbol][subcarrier]`.
@@ -209,59 +210,29 @@ pub fn uplink_frame_with_csi_into<'w, R: Rng + ?Sized, D: MimoDetector + ?Sized>
 /// Like [`uplink_frame`] but fans the frame's per-subcarrier sphere
 /// searches out across `workers` threads (`0` = machine parallelism) and
 /// amortizes per-subcarrier channel preprocessing across the frame's OFDM
-/// symbols via [`MimoDetector::detect_batch`].
+/// symbols via [`MimoDetector::detect_batch_with`] — a fresh-workspace
+/// wrapper over [`decode_frame_batched_into`] (whose pool threads are
+/// spawned, and joined, per call; long-lived receivers hold a workspace).
 ///
 /// Output is **bit-identical** to [`uplink_frame`] for the same `rng`
 /// state, at every worker count: all randomness (payloads, then noise in
 /// OFDM-symbol-major order) is drawn before detection begins, in the same
 /// order the serial path draws it, and detection is a pure function of the
 /// planned problems.
-pub fn decode_frame_batched<R: Rng + ?Sized, D: MimoDetector + ?Sized>(
+pub fn decode_frame_batched<R, D>(
     cfg: &PhyConfig,
     channel: &MimoChannel,
     detector: &D,
     snr_db: f64,
     rng: &mut R,
     workers: usize,
-) -> UplinkOutcome {
+) -> UplinkOutcome
+where
+    R: Rng + ?Sized,
+    D: MimoDetector + Clone + PartialEq + 'static,
+{
     let mut ws = FrameWorkspace::new();
-    decode_frame_scoped_into(cfg, channel, detector, snr_db, rng, workers, &mut ws).clone()
-}
-
-/// The generic batched decode over a recycled workspace: single-worker
-/// frames run inline through the detector's reusable batch workspace;
-/// multi-worker frames fan out through [`BatchDetector`]'s scoped threads
-/// (respawned per frame — callers that can name their detector type should
-/// prefer [`decode_frame_batched_into`] and its persistent pool). Used by
-/// [`crate::measure::measure_batched`] so the per-frame plan and receive
-/// chain reuse one workspace across a whole measurement.
-pub(crate) fn decode_frame_scoped_into<'w, R: Rng + ?Sized, D: MimoDetector + ?Sized>(
-    cfg: &PhyConfig,
-    channel: &MimoChannel,
-    detector: &D,
-    snr_db: f64,
-    rng: &mut R,
-    workers: usize,
-    ws: &'w mut FrameWorkspace,
-) -> &'w UplinkOutcome {
-    plan_uplink_frame_into(cfg, channel, None, snr_db, rng, ws);
-    let mut stats = DetectorStats::default();
-    if workers == 1 {
-        detect_planned_inline(cfg, detector, ws, &mut stats);
-    } else {
-        let batch = DetectionBatch {
-            channels: &ws.rx_channels[..ws.n_rx_channels],
-            jobs: &ws.jobs[..ws.n_jobs],
-            c: cfg.constellation,
-        };
-        let detections = BatchDetector::new(detector, workers).detect_batch(&batch);
-        begin_assemble(ws);
-        let _prof = gs_prof::scope(gs_prof::Stage::Scatter);
-        for (idx, det) in detections.iter().enumerate() {
-            absorb_detection(&mut ws.detected, &mut stats, idx, det);
-        }
-    }
-    finish_outcome(cfg, ws, stats)
+    decode_frame_batched_into(cfg, channel, detector, snr_db, rng, workers, &mut ws).clone()
 }
 
 /// [`decode_frame_batched`] recycling a [`FrameWorkspace`] — the
@@ -273,14 +244,19 @@ pub(crate) fn decode_frame_scoped_into<'w, R: Rng + ?Sized, D: MimoDetector + ?S
 /// * `workers <= 1` detects inline through the workspace's
 ///   [`DetectorWorkspace`](geosphere_core::DetectorWorkspace) with
 ///   recycled outputs,
-/// * `workers > 1` dispatches through the workspace's persistent
-///   [`DetectionPool`](geosphere_core::DetectionPool) (`0` = machine
-///   parallelism, resolved once) — job and channel buffers are lent to the
+/// * `workers > 1` dispatches through the workspace's one-shard
+///   [`ShardedDetectionPool`](geosphere_core::ShardedDetectionPool) (`0`
+///   = machine parallelism, resolved per call; the pool is rebuilt only
+///   when the count changes) — job and channel buffers are lent to the
 ///   pool and returned, results are read in place,
 /// * the receive chain decodes into reused Viterbi/deinterleave scratch.
 ///
-/// The detector must be `Clone + PartialEq` so the pool can keep a cheap
-/// `Arc` of it and rebuild only when the detector actually changes.
+/// The detector must be `Clone + PartialEq` so the workspace can keep a
+/// cheap `Arc` of it and rebuild only when the detector actually changes.
+///
+/// # Panics
+/// Panics when a detection worker panics; the workspace's pool then
+/// refuses every later multi-worker frame.
 #[allow(clippy::too_many_arguments)]
 pub fn decode_frame_batched_into<'w, R, D>(
     cfg: &PhyConfig,
@@ -295,27 +271,34 @@ where
     R: Rng + ?Sized,
     D: MimoDetector + Clone + PartialEq + 'static,
 {
+    let detector = ws.pool_detector_for(detector);
+    decode_frame_shared_into(cfg, channel, &detector, snr_db, rng, workers, ws)
+}
+
+/// [`decode_frame_batched_into`] for a detector already behind an `Arc`,
+/// installed into the pool as a refcount bump.
+pub(crate) fn decode_frame_shared_into<'w, R: Rng + ?Sized>(
+    cfg: &PhyConfig,
+    channel: &MimoChannel,
+    detector: &Arc<dyn MimoDetector>,
+    snr_db: f64,
+    rng: &mut R,
+    workers: usize,
+    ws: &'w mut FrameWorkspace,
+) -> &'w UplinkOutcome {
     plan_uplink_frame_into(cfg, channel, None, snr_db, rng, ws);
     let mut stats = DetectorStats::default();
-    let workers = if workers == 0 {
-        std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
-    } else {
-        workers
-    };
+    let workers = resolve_workers(workers);
     if workers <= 1 {
-        detect_planned_inline(cfg, detector, ws, &mut stats);
+        detect_planned_inline(cfg, detector.as_ref(), ws, &mut stats);
     } else {
-        let arc = ws.pool_detector_for(detector);
-        ws.pool_with_workers(workers);
-        // Detach the pool so the result visitor below can borrow the rest
-        // of the workspace mutably (a pointer move, not an allocation).
-        let mut pool = ws.pool.take().expect("pool just ensured");
-        pool.run(&arc, &mut ws.rx_channels, &mut ws.jobs, ws.n_jobs, cfg.constellation);
+        ws.ensure_pool(workers);
         begin_assemble(ws);
-        let scatter = gs_prof::scope(gs_prof::Stage::Scatter);
-        pool.for_each_result(|idx, det| absorb_detection(&mut ws.detected, &mut stats, idx, det));
-        drop(scatter);
-        ws.pool = Some(pool);
+        let FrameWorkspace { pool, rx_channels, jobs, n_jobs, detected, .. } = ws;
+        let pool = pool.as_ref().expect("pool just ensured");
+        pool.run(detector, rx_channels, jobs, *n_jobs, cfg.constellation);
+        let _prof = gs_prof::scope(gs_prof::Stage::Scatter);
+        pool.for_each_result(|idx, det| absorb_detection(detected, &mut stats, idx, det));
     }
     finish_outcome(cfg, ws, stats)
 }

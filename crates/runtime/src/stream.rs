@@ -9,8 +9,9 @@
 use crate::policy::{AdaptationPolicy, PinnedPolicy, PressureSignal};
 use crate::stats::RuntimeStats;
 use geosphere_core::{
-    Detection, DetectionBatch, DetectorLadder, DetectorStats, DetectorTier, DetectorWorkspace,
-    MimoDetector, ShardedDetectionPool, ShardedJob, NO_DEADLINE,
+    channel_grouped_chunks, resolve_workers, Detection, DetectionBatch, DetectorLadder,
+    DetectorStats, DetectorTier, DetectorWorkspace, MimoDetector, ShardedDetectionPool, ShardedJob,
+    NO_DEADLINE,
 };
 use gs_channel::MimoChannel;
 use gs_linalg::Matrix;
@@ -513,25 +514,16 @@ impl Shared {
             // the outcome.
             core.ws.set_detector_tier(tier);
 
-            // Channel-grouped dispatch order (the same deterministic
-            // permutation `DetectionPool` uses), split into contiguous
+            // Channel-grouped dispatch order (the permutation every
+            // multi-worker detect path uses), split into contiguous
             // per-shard ranges so each shard re-factorizes each of its
             // channels at most once per frame.
-            let jobs = core.ws.planned_jobs();
-            let n_jobs = jobs.len();
-            core.order.clear();
-            core.order.extend(0..n_jobs);
-            let grouped = jobs.windows(2).all(|w| w[0].channel <= w[1].channel);
-            if !grouped {
-                core.order.sort_unstable_by_key(|&i| (jobs[i].channel, i));
-            }
-            let chunk = n_jobs.div_ceil(self.n_shards).max(1);
-            for (s, portion) in slot.portions.iter().enumerate() {
-                let lo = (s * chunk).min(n_jobs);
-                let hi = ((s + 1) * chunk).min(n_jobs);
+            let chunks =
+                channel_grouped_chunks(core.ws.planned_jobs(), self.n_shards, &mut core.order);
+            for (range, portion) in chunks.zip(&slot.portions) {
                 let mut portion = lock(portion);
                 portion.indices.clear();
-                portion.indices.extend_from_slice(&core.order[lo..hi]);
+                portion.indices.extend_from_slice(&core.order[range]);
             }
         }
         slot.remaining.store(self.n_shards as u64, Ordering::Release);
@@ -808,11 +800,7 @@ impl FrameStream {
         sc: StreamConfig,
     ) -> Self {
         assert!(sc.clients >= 1, "a stream needs at least one client lane");
-        let workers = if sc.workers == 0 {
-            std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
-        } else {
-            sc.workers
-        };
+        let workers = resolve_workers(sc.workers);
         let capacity = if sc.capacity == 0 { 2 * workers + 2 } else { sc.capacity };
         let planners = sc.planners.max(1);
 

@@ -18,6 +18,7 @@ use gs_phy::{
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::sync::Arc;
 
 /// Scale knobs shared by all experiments.
 #[derive(Clone, Copy, Debug)]
@@ -67,20 +68,21 @@ impl ExperimentParams {
 
     /// Routes one measurement through the serial or batched decode path
     /// according to [`ExperimentParams::workers`], recycling the
-    /// experiment's sweep-long workspace.
+    /// experiment's sweep-long workspace (and with it the batched path's
+    /// worker pool).
     #[allow(clippy::too_many_arguments)]
-    fn measure<M: gs_channel::ChannelModel, D: MimoDetector + ?Sized>(
+    fn measure<M: gs_channel::ChannelModel>(
         &self,
         cfg: &PhyConfig,
         model: &M,
-        detector: &D,
+        detector: &Arc<dyn MimoDetector>,
         snr_db: f64,
         frames: usize,
         rng: &mut StdRng,
         ws: &mut FrameWorkspace,
     ) -> Measurement {
         if self.workers == 1 {
-            measure_in(cfg, model, detector, snr_db, frames, rng, ws)
+            measure_in(cfg, model, detector.as_ref(), snr_db, frames, rng, ws)
         } else {
             measure_batched_in(cfg, model, detector, snr_db, frames, rng, self.workers, ws)
         }
@@ -88,17 +90,17 @@ impl ExperimentParams {
 
     /// Like [`Self::measure`] for the target-FER SNR bisection, so the
     /// calibration phase of the complexity experiments parallelizes too.
-    fn snr_for_target_fer<M: gs_channel::ChannelModel, D: MimoDetector + ?Sized>(
+    fn snr_for_target_fer<M: gs_channel::ChannelModel>(
         &self,
         cfg: &PhyConfig,
         model: &M,
-        detector: &D,
+        detector: &Arc<dyn MimoDetector>,
         target_fer: f64,
         frames: usize,
         rng: &mut StdRng,
     ) -> f64 {
         if self.workers == 1 {
-            snr_for_target_fer(cfg, model, detector, target_fer, frames, rng)
+            snr_for_target_fer(cfg, model, detector.as_ref(), target_fer, frames, rng)
         } else {
             snr_for_target_fer_batched(cfg, model, detector, target_fer, frames, rng, self.workers)
         }
@@ -143,22 +145,24 @@ impl DetectorKind {
         }
     }
 
-    /// Builds the detector for a given operating SNR.
-    pub fn build(self, snr_db: f64) -> Box<dyn MimoDetector> {
+    /// Builds the detector for a given operating SNR, behind an `Arc` so
+    /// the batched decode path installs it into its worker pool as a
+    /// refcount bump.
+    pub fn build(self, snr_db: f64) -> Arc<dyn MimoDetector> {
         let sigma2 = noise_variance_for_snr_db(snr_db);
         match self {
-            DetectorKind::Zf => Box::new(ZfDetector),
-            DetectorKind::Mmse => Box::new(MmseDetector::new(sigma2)),
-            DetectorKind::MmseSic => Box::new(MmseSicDetector::new(sigma2)),
+            DetectorKind::Zf => Arc::new(ZfDetector),
+            DetectorKind::Mmse => Arc::new(MmseDetector::new(sigma2)),
+            DetectorKind::MmseSic => Arc::new(MmseSicDetector::new(sigma2)),
             // Sphere decoders carry a generous runtime guard (50k visited
             // nodes per vector): exact ML at every sane operating point, but
             // bounded on hopeless SNR/constellation pairs that rate
             // adaptation probes and discards (e.g. 64-QAM at 10x10, 20 dB).
-            DetectorKind::Geosphere => Box::new(geosphere_decoder().with_node_budget(50_000)),
+            DetectorKind::Geosphere => Arc::new(geosphere_decoder().with_node_budget(50_000)),
             DetectorKind::GeosphereZigzagOnly => {
-                Box::new(geosphere_zigzag_only_decoder().with_node_budget(50_000))
+                Arc::new(geosphere_zigzag_only_decoder().with_node_budget(50_000))
             }
-            DetectorKind::EthSd => Box::new(ethsd_decoder().with_node_budget(50_000)),
+            DetectorKind::EthSd => Arc::new(ethsd_decoder().with_node_budget(50_000)),
         }
     }
 }
@@ -221,7 +225,7 @@ pub fn testbed_throughput(
                 params.measure(
                     &cfg,
                     &model,
-                    det.as_ref(),
+                    &det,
                     snr_db,
                     params.frames_per_point,
                     &mut rng,
@@ -273,7 +277,7 @@ pub fn rayleigh_throughput(
         let m = params.measure(
             &cfg,
             &model,
-            det.as_ref(),
+            &det,
             snr_db,
             params.frames_per_point * params.groups_per_point,
             &mut rng,
@@ -334,6 +338,7 @@ pub fn complexity_at_target_fer(
     let channel_label = if tb.is_some() { "Testbed" } else { "Rayleigh" };
 
     // Calibrate the operating SNR with the (ML) Geosphere decoder.
+    let calibrator: Arc<dyn MimoDetector> = Arc::new(geosphere_decoder());
     let mut rng = params.rng(9_000_000 + constellation.size() as u64 + n_clients as u64);
     let snr_db = match tb {
         Some(tb) => {
@@ -342,7 +347,7 @@ pub fn complexity_at_target_fer(
             params.snr_for_target_fer(
                 &cfg,
                 &model,
-                &geosphere_decoder(),
+                &calibrator,
                 target_fer,
                 params.frames_per_point,
                 &mut rng,
@@ -353,7 +358,7 @@ pub fn complexity_at_target_fer(
             params.snr_for_target_fer(
                 &cfg,
                 &model,
-                &geosphere_decoder(),
+                &calibrator,
                 target_fer,
                 params.frames_per_point,
                 &mut rng,
@@ -378,7 +383,7 @@ pub fn complexity_at_target_fer(
                     params.measure(
                         &cfg,
                         &model,
-                        det.as_ref(),
+                        &det,
                         snr_db,
                         params.frames_per_point,
                         &mut rng,
@@ -390,7 +395,7 @@ pub fn complexity_at_target_fer(
                     params.measure(
                         &cfg,
                         &model,
-                        det.as_ref(),
+                        &det,
                         snr_db,
                         params.frames_per_point,
                         &mut rng,

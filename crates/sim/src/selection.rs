@@ -49,16 +49,13 @@ pub fn select_groups(
     }
 
     in_band.sort_by(|a, b| {
-        (a.mean_snr_db - target_snr_db)
-            .abs()
-            .partial_cmp(&(b.mean_snr_db - target_snr_db).abs())
-            .unwrap()
+        (a.mean_snr_db - target_snr_db).abs().total_cmp(&(b.mean_snr_db - target_snr_db).abs())
     });
     if in_band.len() >= max_groups {
         in_band.truncate(max_groups);
         return in_band;
     }
-    near_band.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap());
+    near_band.sort_by(|a, b| a.0.total_cmp(&b.0));
     in_band.extend(near_band.into_iter().map(|(_, g)| g).take(max_groups - in_band.len()));
     in_band
 }
@@ -66,6 +63,14 @@ pub fn select_groups(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn nan_target_snr_returns_without_panicking() {
+        // Every group lands out of band with a NaN distance; the sort must
+        // still return the requested count.
+        let groups = select_groups(&Testbed::office(), 2, f64::NAN, 5.0, 3);
+        assert_eq!(groups.len(), 3);
+    }
 
     #[test]
     fn selects_requested_count() {

@@ -3,11 +3,13 @@
 //! that makes the worker pool safe to enable everywhere: parallelism can
 //! change wall-clock, never results.
 
-use geosphere::channel::{ChannelModel, RayleighChannel, SelectiveRayleighChannel};
-use geosphere::core::{geosphere_decoder, BatchDetector, DetectionBatch, DetectionJob};
+use geosphere::channel::{ChannelModel, MimoChannel, RayleighChannel, SelectiveRayleighChannel};
+use geosphere::core::geosphere_decoder;
 use geosphere::linalg::Matrix;
 use geosphere::modulation::Constellation;
-use geosphere::phy::{decode_frame_batched, uplink_frame, PhyConfig};
+use geosphere::phy::{
+    decode_frame_batched, decode_frame_batched_into, uplink_frame, FrameWorkspace, PhyConfig,
+};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -67,36 +69,29 @@ fn batched_decode_matches_serial_on_selective_channel() {
     }
 }
 
-/// The core-layer engine honors the same contract on a raw batch.
+/// The pooled engine honors the same contract over a raw channel table:
+/// eight random 4×4 channels, one per subcarrier, so every OFDM symbol
+/// revisits each table entry and the channel-grouped chunking permutes
+/// jobs. One workspace is held across the worker counts, so its pool is
+/// rebuilt on every count change and reused on the repeat.
 #[test]
 fn core_batch_detector_is_deterministic() {
     let c = Constellation::Qam16;
     let mut rng = StdRng::seed_from_u64(91);
-    let channels: Vec<Matrix> = (0..8)
-        .map(|_| RayleighChannel::new(4, 4).sample_matrix(&mut rng).scale(c.scale()))
-        .collect();
-    let pts = c.points();
-    let jobs: Vec<DetectionJob> = (0..96)
-        .map(|j| {
-            let channel = j % channels.len();
-            let s: Vec<_> = (0..4).map(|_| pts[rng.gen_range(0..pts.len())]).collect();
-            let mut y = geosphere::core::apply_channel(&channels[channel], &s);
-            for v in y.iter_mut() {
-                *v += geosphere::channel::sample_cn(&mut rng, 0.05);
-            }
-            DetectionJob { channel, y }
-        })
-        .collect();
-    let batch = DetectionBatch { channels: &channels, jobs: &jobs, c };
+    let channels: Vec<Matrix> =
+        (0..8).map(|_| RayleighChannel::new(4, 4).sample_matrix(&mut rng)).collect();
+    let ch = MimoChannel::new(channels);
+    let cfg = PhyConfig { payload_bits: 384, n_subcarriers: 8, ..PhyConfig::new(c) };
     let det = geosphere_decoder();
 
-    let reference = batch.detect_serial(&det);
-    for workers in [1usize, 3, 8] {
-        let out = BatchDetector::new(&det, workers).detect_batch(&batch);
-        assert_eq!(out.len(), reference.len());
-        for (k, (a, b)) in out.iter().zip(&reference).enumerate() {
-            assert_eq!(a.symbols, b.symbols, "job {k} workers {workers}");
-            assert_eq!(a.stats, b.stats, "job {k} workers {workers}");
-        }
+    let mut rng = StdRng::seed_from_u64(92);
+    let reference = uplink_frame(&cfg, &ch, &det, 20.0, &mut rng);
+    let mut ws = FrameWorkspace::new();
+    for workers in [1usize, 2, 4, 7, 7] {
+        let mut rng = StdRng::seed_from_u64(92);
+        let out = decode_frame_batched_into(&cfg, &ch, &det, 20.0, &mut rng, workers, &mut ws);
+        assert_eq!(out.client_ok, reference.client_ok, "workers {workers}");
+        assert_eq!(out.stats, reference.stats, "workers {workers}");
+        assert_eq!(out.detections, reference.detections, "workers {workers}");
     }
 }

@@ -182,43 +182,32 @@ proptest! {
     #[test]
     fn batched_detection_matches_serial(
         entries in proptest::collection::vec((-1.5f64..1.5, -1.5f64..1.5), 4),
-        noise in proptest::collection::vec((-0.2f64..0.2, -0.2f64..0.2), 8),
-        workers in 1usize..6,
+        seed in 0u64..1_000_000,
+        workers_idx in 0usize..4,
     ) {
-        use geosphere::core::{BatchDetector, DetectionBatch, DetectionJob, MimoDetector};
+        use geosphere::channel::MimoChannel;
+        use geosphere::phy::{decode_frame_batched_into, uplink_frame, FrameWorkspace, PhyConfig};
+        use rand::rngs::StdRng;
+        use rand::SeedableRng;
 
         let c = Constellation::Qam16;
         let data: Vec<Complex> = entries.iter().map(|&(re, im)| Complex::new(re, im)).collect();
-        let mut h = Matrix::from_rows(2, 2, &data).scale(c.scale());
+        let mut h = Matrix::from_rows(2, 2, &data);
         // Keep the channel comfortably invertible so the search terminates
         // fast; degenerate matrices are covered by the seeded suites.
         h[(0, 0)] += Complex::new(1.0, 0.0);
         h[(1, 1)] += Complex::new(1.0, 0.0);
-        let channels = vec![h];
-        let pts = c.points();
-        let jobs: Vec<DetectionJob> = noise
-            .chunks(2)
-            .enumerate()
-            .map(|(j, w)| {
-                let s = [pts[j % pts.len()], pts[(j * 7 + 3) % pts.len()]];
-                let mut y = geosphere::core::apply_channel(&channels[0], &s);
-                for (v, &(re, im)) in y.iter_mut().zip(w) {
-                    *v += Complex::new(re, im);
-                }
-                DetectionJob { channel: 0, y }
-            })
-            .collect();
-        let batch = DetectionBatch { channels: &channels, jobs: &jobs, c };
+        let ch = MimoChannel::flat(h);
+        let cfg = PhyConfig { payload_bits: 128, n_subcarriers: 8, ..PhyConfig::new(c) };
         let det = geosphere::core::geosphere_decoder();
-        let serial = batch.detect_serial(&det);
-        let amortized = det.detect_batch(&batch);
-        let parallel = BatchDetector::new(&det, workers).detect_batch(&batch);
-        for ((s, a), p) in serial.iter().zip(&amortized).zip(&parallel) {
-            prop_assert_eq!(&s.symbols, &a.symbols);
-            prop_assert_eq!(&s.symbols, &p.symbols);
-            prop_assert_eq!(s.stats, a.stats);
-            prop_assert_eq!(s.stats, p.stats);
-        }
+        let workers = [1usize, 2, 4, 7][workers_idx];
+        let serial = uplink_frame(&cfg, &ch, &det, 18.0, &mut StdRng::seed_from_u64(seed));
+        let mut ws = FrameWorkspace::new();
+        let mut rng = StdRng::seed_from_u64(seed);
+        let pooled = decode_frame_batched_into(&cfg, &ch, &det, 18.0, &mut rng, workers, &mut ws);
+        prop_assert_eq!(&pooled.client_ok, &serial.client_ok);
+        prop_assert_eq!(pooled.stats, serial.stats);
+        prop_assert_eq!(pooled.detections, serial.detections);
     }
 
     // --- coding ---
